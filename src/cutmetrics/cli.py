@@ -169,9 +169,7 @@ def _measure_for(g: Graph, name: str, params: dict[str, float]):
     if name == "reliability":
         return measures.connection_reliability(g)
     if name == "forest":
-        t = params.get("t", 1.0)
-        scaled = g if t == 1.0 else Graph(g.n, tuple((u, v, w * t) for u, v, w in g.edges))
-        return measures.forest_matrix(scaled)
+        return measures.forest_matrix(g, params.get("t", 1.0))
     if name == "walk":
         if "t" not in params:
             raise ParameterError("metric 'walk' needs --t or walk:t=X")
@@ -192,8 +190,6 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     if measure is not None:
         checks.append(("transitional-measure", measures.validate_transitional_measure(g, measure, tol)))
         d = distances.log_distance(measure)
-        if name == "forest":
-            d = DistanceMatrix(d.values, "forest", {"t": params.get("t", 1.0)})
     else:
         d = _build_distance(g, name, params)
     checks.append(("metric-axioms", distances.check_metric_axioms(d, tol)))

@@ -83,14 +83,13 @@ def reliability_distance(g: Graph) -> DistanceMatrix:
 def forest_distance(g: Graph, t: float = 1.0) -> DistanceMatrix:
     """Logarithmic forest distance with edge-scale parameter ``t``.
 
-    The parameter re-weights every edge by ``t`` before the forest matrix
-    is formed; ``t = 1`` is the plain forest distance.
+    The parameter re-weights every edge by ``t``; ``t = 1`` is the plain
+    forest distance.  The log transform is scale-invariant, so the
+    determinant factor of the forest matrix cancels and the distance is
+    taken from ``(I + tL)^-1`` alone.
     """
-    if not t > 0.0:
-        raise ParameterError(f"edge-scale parameter must be positive, got {t}")
-    scaled = g if t == 1.0 else Graph(g.n, tuple((u, v, w * t) for u, v, w in g.edges))
-    d = log_distance(measures.forest_matrix(scaled))
-    return DistanceMatrix(d.values, "forest", {"t": t})
+    inverse = linalg.invert(measures._forest_system(g, t))
+    return log_distance(TransitionalMeasure("forest", inverse, {"t": t}))
 
 
 def walk_distance(g: Graph, t: float) -> DistanceMatrix:
@@ -135,10 +134,9 @@ def long_walk_distance(
     test graph but the limit stays the reference definition.
     """
     a = adjacency_matrix(g)
-    spectral = linalg.spectral_data(a)
-    rho = spectral.rho
-
     if method == "closed_form":
+        spectral = linalg.spectral_data(a)
+        rho = spectral.rho
         p_unit = spectral.perron / np.linalg.norm(spectral.perron)
         pinv = linalg.symmetric_pseudoinverse(rho * np.eye(g.n) - a, p_unit)
         psi = pinv / np.outer(p_unit, p_unit)
@@ -147,6 +145,7 @@ def long_walk_distance(
         return DistanceMatrix(values, "longwalk")
     if method != "limit":
         raise ParameterError(f"unknown long-walk method {method!r}")
+    rho = linalg._spectral_radius(a)
 
     off_diag = ~np.eye(g.n, dtype=bool)
     previous_row: list[np.ndarray] | None = None

@@ -1,10 +1,11 @@
-"""Dense numeric kernel: LU factorization, inversion, determinant, shifted
-power iteration, and the rank-one-corrected symmetric pseudoinverse.
+"""Dense numeric kernel over LAPACK (through ``numpy.linalg``): inversion,
+determinant, the Perron pair of an adjacency matrix, and the
+rank-one-corrected symmetric pseudoinverse.
 
-Everything here targets desk-scale matrices (n up to a few thousand) and
-favors explicit, checkable behavior over scalability: partial pivoting with
-an explicit condition estimate, deterministic power-iteration start vector,
-contract checks on the pseudoinverse.
+The wrappers add what LAPACK leaves to the caller: non-finite and
+non-square input is refused, an explicit 1-norm condition estimate guards
+every inverse, and eigenpairs and the pseudoinverse are checked against
+their contracts.  Every failure is a typed :class:`CutMetricsError`.
 """
 
 from __future__ import annotations
@@ -17,48 +18,26 @@ from .types import SpectralData
 __all__ = ["invert", "determinant", "spectral_data", "symmetric_pseudoinverse"]
 
 CONDITION_LIMIT = 1e12
-POWER_ITERATION_CAP = 1_000_000
+EIGEN_RESIDUAL_RTOL = 1e-12
+LOG_FLOAT_MAX = float(np.log(np.finfo(float).max))
 
 
 def _as_square(m) -> np.ndarray:
     a = np.asarray(m, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ParameterError(f"expected a square matrix, got shape {a.shape}")
+    if not np.all(np.isfinite(a)):
+        raise ParameterError("matrix has non-finite entries")
     return a
 
 
-def _lu_factor(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
-    """Partial-pivot LU in a single array; returns (LU, row permutation, sign).
-
-    A sign of 0.0 marks an exactly singular pivot column.
-    """
-    lu = a.copy()
-    n = lu.shape[0]
-    perm = np.arange(n)
-    sign = 1.0
-    for col in range(n):
-        p = col + int(np.argmax(np.abs(lu[col:, col])))
-        if lu[p, col] == 0.0:
-            return lu, perm, 0.0
-        if p != col:
-            lu[[col, p]] = lu[[p, col]]
-            perm[[col, p]] = perm[[p, col]]
-            sign = -sign
-        lu[col + 1 :, col] /= lu[col, col]
-        lu[col + 1 :, col + 1 :] -= np.outer(lu[col + 1 :, col], lu[col, col + 1 :])
-    return lu, perm, sign
-
-
-def _lu_solve(lu: np.ndarray, perm: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve with a factored system for a 2-D right-hand side."""
-    n = lu.shape[0]
-    x = rhs[perm].astype(float, copy=True)
-    for col in range(n):  # unit lower triangle
-        x[col + 1 :] -= np.outer(lu[col + 1 :, col], x[col])
-    for col in range(n - 1, -1, -1):  # upper triangle
-        x[col] /= lu[col, col]
-        x[:col] -= np.outer(lu[:col, col], x[col])
-    return x
+def _as_adjacency(m) -> np.ndarray:
+    a = _as_square(m)
+    if np.any(a < 0.0) or not np.allclose(a, a.T, rtol=1e-12, atol=1e-12):
+        raise ParameterError("spectral data requires a symmetric nonnegative matrix")
+    if not np.any(a):
+        raise ParameterError("zero matrix has no Perron vector")
+    return a
 
 
 def _norm1(a: np.ndarray) -> float:
@@ -66,84 +45,65 @@ def _norm1(a: np.ndarray) -> float:
 
 
 def determinant(m) -> float:
-    """Determinant via LU factorization; 0.0 for singular input."""
-    a = _as_square(m)
-    if a.size == 0:
-        return 1.0
-    lu, _, sign = _lu_factor(a)
+    """Determinant from ``numpy.linalg.slogdet``; 0.0 for exactly singular
+    input.  Raises :class:`NumericError` when ``|det|`` overflows a float."""
+    sign, log_abs = np.linalg.slogdet(_as_square(m))
     if sign == 0.0:
         return 0.0
-    return float(sign * np.prod(np.diag(lu)))
+    if not log_abs < LOG_FLOAT_MAX:
+        raise NumericError(f"determinant overflows a float: ln|det| = {log_abs:.6g}")
+    return float(sign * np.exp(log_abs))
 
 
 def invert(m) -> np.ndarray:
-    """Matrix inverse via partial-pivot LU.
+    """Matrix inverse from ``numpy.linalg.inv``.
 
-    Raises :class:`NumericError` when pivoting finds an exactly singular
-    column or the 1-norm condition estimate exceeds ``CONDITION_LIMIT``.
+    Raises :class:`NumericError` when LAPACK finds an exactly singular
+    pivot or the 1-norm condition estimate is not below ``CONDITION_LIMIT``.
     """
     a = _as_square(m)
-    lu, perm, sign = _lu_factor(a)
-    if sign == 0.0:
-        raise NumericError("singular matrix: zero pivot during LU factorization")
-    inv = _lu_solve(lu, perm, np.eye(a.shape[0]))
+    try:
+        inv = np.linalg.inv(a)
+    except np.linalg.LinAlgError:
+        raise NumericError("singular matrix: zero pivot during LU factorization") from None
     cond = _norm1(a) * _norm1(inv)
-    if cond > CONDITION_LIMIT:
+    if not cond <= CONDITION_LIMIT:
         raise NumericError(f"matrix near-singular: condition estimate {cond:.3e} exceeds {CONDITION_LIMIT:.0e}")
     return inv
 
 
-def spectral_data(
-    a,
-    rayleigh_rtol: float = 1e-13,
-    residual_rtol: float = 1e-12,
-    max_iterations: int = POWER_ITERATION_CAP,
-) -> SpectralData:
+def _spectral_radius(a) -> float:
+    """Largest eigenvalue of a symmetric nonnegative matrix, from
+    ``numpy.linalg.eigvalsh``, for callers that need no Perron vector."""
+    return float(np.linalg.eigvalsh(_as_adjacency(a))[-1])
+
+
+def spectral_data(a) -> SpectralData:
     """Spectral radius and Perron vector of a connected nonnegative
-    symmetric adjacency matrix.
+    symmetric adjacency matrix, from ``numpy.linalg.eigh``.
 
-    Power iteration runs on the shifted matrix ``A + cI`` with ``c`` the
-    maximum row sum, which is primitive for connected graphs (the shift
-    defeats bipartite oscillation).  The deterministic all-ones start has
-    positive overlap with the Perron vector.  Iteration stops once
-    successive Rayleigh quotients agree to ``rayleigh_rtol`` relative and
-    the eigen-residual is below ``residual_rtol`` relative; the residual on
-    the shifted system equals the residual on ``A`` itself.
+    The top eigenvector is sign-fixed and normalized to sum 1.  Raises
+    :class:`NumericError` when its eigen-residual exceeds
+    ``EIGEN_RESIDUAL_RTOL * rho`` or an entry is not strictly positive: on
+    disconnected input, and where the smallest Perron entries lie below
+    the eigensolver's precision, about 1e-16 of the largest (long chains
+    of blocks).
     """
-    mat = _as_square(a)
-    n = mat.shape[0]
-    if np.any(mat < 0.0) or not np.allclose(mat, mat.T, rtol=1e-12, atol=1e-12):
-        raise ParameterError("spectral_data requires a symmetric nonnegative matrix")
-    shift = float(mat.sum(axis=1).max())
-    if shift == 0.0:
-        raise ParameterError("zero matrix has no Perron vector")
-
-    v = np.full(n, 1.0 / np.sqrt(n))
-    rayleigh_prev = np.inf
-    for _ in range(max_iterations):
-        y = mat @ v + shift * v
-        rayleigh = float(v @ y)
-        residual = float(np.abs(y - rayleigh * v).max())
-        if (
-            abs(rayleigh - rayleigh_prev) < rayleigh_rtol * abs(rayleigh)
-            and residual <= residual_rtol * rayleigh
-        ):
-            break
-        rayleigh_prev = rayleigh
-        v = y / np.linalg.norm(y)
-    else:
+    mat = _as_adjacency(a)
+    values, vectors = np.linalg.eigh(mat)
+    rho = float(values[-1])
+    v = vectors[:, -1]
+    if v.sum() < 0.0:
+        v = -v
+    residual = float(np.abs(mat @ v - rho * v).max())
+    if not residual <= EIGEN_RESIDUAL_RTOL * rho:
+        raise NumericError(f"eigen-residual {residual:.3e} exceeds {EIGEN_RESIDUAL_RTOL:.0e} * rho")
+    if not np.all(v > 0.0):
         raise NumericError(
-            f"power iteration did not converge within {max_iterations} iterations "
-            f"(last residual {residual:.3e})"
+            "Perron vector has non-positive entries; the input is not a connected adjacency matrix "
+            "or its smallest Perron entries are below the eigensolver's precision"
         )
-
-    rho = rayleigh - shift
-    if not rho > 0.0:
-        raise NumericError(f"non-positive spectral radius {rho!r}; input is not a connected adjacency matrix")
-    perron = v / v.sum()
-    if not np.all(perron > 0.0):
-        raise NumericError("Perron vector has non-positive entries; input is not a connected adjacency matrix")
-    return SpectralData(rho=rho, perron=perron)
+    return SpectralData(rho=rho, perron=v / v.sum())
 
 
 def symmetric_pseudoinverse(m, kernel) -> np.ndarray:
@@ -167,7 +127,7 @@ def symmetric_pseudoinverse(m, kernel) -> np.ndarray:
         raise ParameterError("kernel vector must be nonzero")
     khat = k / norm
     scale = max(1.0, float(np.abs(a).max()))
-    if float(np.abs(a @ khat).max()) > 1e-8 * scale:
+    if not float(np.abs(a @ khat).max()) <= 1e-8 * scale:
         raise ParameterError("supplied vector is not in the kernel (residual check failed)")
     projector = np.outer(khat, khat)
     pinv = invert(a + projector) - projector

@@ -199,22 +199,37 @@ def _edge_mask(edge_ids: tuple[int, ...]) -> int:
     return mask
 
 
-def forest_matrix(g: Graph) -> TransitionalMeasure:
-    """Matrix of spanning-rooted-forest weights, ``det(I + L) (I + L)^-1``.
+def _forest_system(g: Graph, t: float) -> np.ndarray:
+    """``I + t L``: the forest matrix is ``det(I + tL) (I + tL)^-1``."""
+    if not t > 0.0:
+        raise ParameterError(f"edge-scale parameter must be positive, got {t}")
+    return np.eye(g.n) + t * laplacian(g)
+
+
+def forest_matrix(g: Graph, t: float = 1.0) -> TransitionalMeasure:
+    """Matrix of spanning-rooted-forest weights with every edge weight
+    scaled by ``t``, ``det(I + tL) (I + tL)^-1``.
 
     Entry (i, j) totals the forests whose tree containing ``i`` is rooted
-    at ``j``; ``I + L`` is always nonsingular.
+    at ``j``; ``I + tL`` is always nonsingular.  Raises
+    :class:`NumericError` when the determinant factor overflows a float;
+    the forest distance is scale-invariant and never forms it.
     """
-    m = np.eye(g.n) + laplacian(g)
-    f = linalg.determinant(m)
-    forest = f * linalg.invert(m)
-    return TransitionalMeasure("forest", forest)
+    m = _forest_system(g, t)
+    log_det = np.linalg.slogdet(m)[1]
+    inverse = linalg.invert(m)
+    if not log_det + np.log(inverse.max()) < linalg.LOG_FLOAT_MAX:
+        raise NumericError(
+            f"det(I+tL) overflows a float (ln det = {log_det:.6g}), so the forest matrix cannot be formed; "
+            "forest_distance does not need the determinant"
+        )
+    return TransitionalMeasure("forest", np.exp(log_det) * inverse, {"t": t})
 
 
 def walk_matrix(g: Graph, t: float) -> TransitionalMeasure:
     """Walk-weight matrix ``(I - tA)^-1`` for ``0 < t < 1/rho``."""
     a = adjacency_matrix(g)
-    rho = linalg.spectral_data(a).rho
+    rho = linalg._spectral_radius(a)
     if not 0.0 < t < 1.0 / rho:
         raise ParameterError(f"walk parameter must satisfy 0 < t < 1/rho = {1.0 / rho:.12g}, got {t}")
     r = linalg.invert(np.eye(g.n) - t * a)
@@ -278,7 +293,7 @@ def find_tau_threshold(
     def passes(tau: float) -> bool:
         return validate_transitional_measure(g, path_accessibility(g, tau, max_vertices), tol).passed
 
-    start = 1.0 / linalg.spectral_data(adjacency_matrix(g)).rho
+    start = 1.0 / linalg._spectral_radius(adjacency_matrix(g))
     if passes(start):
         lo, hi = start, 2.0 * start
         doublings = 0

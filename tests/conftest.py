@@ -36,6 +36,18 @@ def star4():
     return Graph(4, ((1, 2, 1.0), (1, 3, 1.0), (1, 4, 1.0)))
 
 
+def clique_edges(vertices, weight=1.0):
+    return [(u, v, weight) for idx, u in enumerate(vertices) for v in vertices[idx + 1 :]]
+
+
+def path_edges(vertices, weight=1.0):
+    return [(u, v, weight) for u, v in zip(vertices, vertices[1:])]
+
+
+def complete(n):
+    return Graph(n, tuple(clique_edges(range(1, n + 1))))
+
+
 NAMED = {
     "p2": p2,
     "p3": p3,

@@ -119,6 +119,13 @@ class TestValidate:
         sample = payload["violations"][0]
         assert set(sample) == {"i", "j", "k", "lhs", "rhs", "expected_equal"}
 
+    def test_forest_edge_scale_passes(self, graph_file, tmp_path):
+        out = str(tmp_path / "report.json")
+        code = main(["validate", "--input", graph_file(DIAMOND_FILE), "--metric", "forest:t=0.35", "--json", "--output", out])
+        assert code == 0
+        payload = json.loads(open(out).read())
+        assert payload["params"] == {"t": 0.35} and payload["passed"] is True
+
     def test_walk_passes_on_diamond(self, graph_file):
         assert main(["validate", "--input", graph_file(DIAMOND_FILE), "--metric", "walk", "--t", "0.3"]) == 0
 

@@ -28,7 +28,7 @@ from cutmetrics import (
     walk_matrix,
 )
 
-from conftest import c4, diamond, k3, p2, p3, p4, star4
+from conftest import c4, clique_edges, complete, diamond, k3, p2, p3, p4, path_edges, star4
 
 
 class TestLogDistance:
@@ -81,6 +81,35 @@ class TestDistanceFamilies:
         d = forest_distance(p3(), 0.35)
         assert d.params == {"t": 0.35}
         assert d.value(1, 2) + d.value(2, 3) == pytest.approx(d.value(1, 3), abs=1e-12)
+
+    def test_forest_complete_graph_closed_form(self):
+        # On K_n, (I + tL)^-1 = (I + tJ) / (1 + tn), so every distance is
+        # ln(1 + 1/t); det(I + tL) = (1 + 160t)^159 overflows for t >= 1.
+        off = ~np.eye(160, dtype=bool)
+        for t in (0.5, 1.0, 2.0):
+            d = forest_distance(complete(160), t)
+            assert np.abs(d.values[off] - math.log1p(1.0 / t)).max() <= 1e-12
+
+    def test_walk_needs_only_rho(self):
+        # A K8 hub with a 40-vertex pendant path: the Perron entries at the
+        # far end (about 7^-40 of the largest) are below what an eigensolver
+        # resolves, yet the walk distance only needs rho.
+        g = Graph(48, tuple(clique_edges(range(1, 9)) + path_edges(range(8, 49))))
+        a = adjacency_matrix(g)
+        t = 0.5 / np.linalg.eigvalsh(a)[-1]
+        h = np.log(np.linalg.inv(np.eye(g.n) - t * a))
+        diag = np.diag(h)
+        expected = 0.5 * (diag[:, None] + diag[None, :] - h - h.T)
+        d = walk_distance(g, t)
+        off = ~np.eye(g.n, dtype=bool)
+        assert (np.abs(d.values - expected)[off] / expected[off]).max() <= 1e-12
+        assert check_cutpoint_additivity(g, d).passed
+        try:
+            perron = spectral_data(a).perron
+        except NumericError:
+            pass
+        else:
+            assert np.all(perron > 0.0)
 
     def test_forest_nonpositive_scale_rejected(self):
         with pytest.raises(ParameterError):

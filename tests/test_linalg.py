@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from cutmetrics import (
+    Graph,
     NumericError,
     ParameterError,
     adjacency_matrix,
@@ -12,7 +13,23 @@ from cutmetrics import (
     symmetric_pseudoinverse,
 )
 
-from conftest import k3, p2, p3, p4
+from conftest import clique_edges, k3, p2, p3, p4, path_edges
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize(
+    "call",
+    [
+        invert,
+        determinant,
+        spectral_data,
+        lambda m: symmetric_pseudoinverse(m, np.ones(2)),
+    ],
+    ids=["invert", "determinant", "spectral_data", "symmetric_pseudoinverse"],
+)
+def test_non_finite_input_rejected(call, bad):
+    with pytest.raises(ParameterError, match="non-finite"):
+        call(np.array([[1.0, bad], [bad, 1.0]]))
 
 
 class TestInvert:
@@ -87,6 +104,17 @@ class TestSpectralData:
     def test_zero_matrix_rejected(self):
         with pytest.raises(ParameterError):
             spectral_data(np.zeros((2, 2)))
+
+    def test_tiny_spectral_gap(self):
+        # Two K7 cliques, weights 1 and 1.00001, joined by a 20-vertex path:
+        # the top two eigenvalues differ by about 6e-5.
+        edges = clique_edges(range(1, 8)) + clique_edges(range(8, 15), 1.00001)
+        edges += path_edges([7, *range(15, 35), 8])
+        a = adjacency_matrix(Graph(34, tuple(edges)))
+        sd = spectral_data(a)
+        assert np.all(sd.perron > 0.0)
+        unit = sd.perron / np.linalg.norm(sd.perron)
+        assert np.abs(a @ unit - sd.rho * unit).max() <= 1e-12 * sd.rho
 
 
 class TestSymmetricPseudoinverse:

@@ -6,6 +6,7 @@ import pytest
 from cutmetrics import (
     CapExceededError,
     Graph,
+    NumericError,
     ParameterError,
     adjacency_matrix,
     connection_reliability,
@@ -21,7 +22,7 @@ from cutmetrics import (
 )
 from cutmetrics.measures import _simple_path_edge_ids
 
-from conftest import k3, p2, p3
+from conftest import complete, k3, p2, p3
 
 
 class TestPathAccessibility:
@@ -128,6 +129,22 @@ class TestForestMatrix:
             f = forest_matrix(g).matrix
             row_sums = f.sum(axis=1)
             assert np.abs(row_sums - row_sums[0]).max() <= 1e-9 * max(1.0, row_sums[0])
+
+    def test_edge_scale_matches_rescaled_graph(self, small_corpus):
+        for g in small_corpus[:10]:
+            scaled = Graph(g.n, tuple((u, v, 0.35 * w) for u, v, w in g.edges))
+            f = forest_matrix(g, 0.35)
+            assert f.params == {"t": 0.35}
+            assert np.allclose(f.matrix, forest_matrix(scaled).matrix, rtol=1e-12, atol=0.0)
+
+    def test_nonpositive_scale_rejected(self):
+        with pytest.raises(ParameterError, match="positive"):
+            forest_matrix(p3(), 0.0)
+
+    def test_determinant_overflow_named(self):
+        # det(I+L) = 161^159 on K_160 exceeds the float range.
+        with pytest.raises(NumericError, match="overflow"):
+            forest_matrix(complete(160))
 
     def test_q_row_sums_are_one(self, small_corpus):
         from cutmetrics import invert, laplacian
