@@ -33,6 +33,7 @@ from .graph import (
     is_cutpoint_between,
     laplacian,
     parse_graph,
+    separation_labels,
     shortest_path_lengths,
 )
 from .linalg import determinant, invert, spectral_data, symmetric_pseudoinverse
@@ -68,6 +69,7 @@ __all__ = [
     "adjacency_matrix",
     "laplacian",
     "is_cutpoint_between",
+    "separation_labels",
     "shortest_path_lengths",
     "invert",
     "determinant",

@@ -18,7 +18,6 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import asdict
 
 from . import distances, measures
 from .errors import GraphInputError, NumericError, ParameterError
@@ -177,6 +176,21 @@ def _measure_for(g: Graph, name: str, params: dict[str, float]):
     return None
 
 
+# With ``indent`` set, json.dumps takes its pure-Python encoder.  The C encoder
+# with this item separator lays out flat dicts as indent=2 does, braces aside.
+_encode_flat_dicts = json.JSONEncoder(separators=(",\n      ", ": ")).encode
+
+
+def _validate_json(payload: dict, violations) -> str:
+    """``json.dumps(indent=2)`` of ``payload`` with the violations appended as dicts."""
+    text = json.dumps({**payload, "violations": []}, indent=2)
+    if violations:  # numbers and booleans only, so every brace is a dict's own
+        items = _encode_flat_dicts(list(map(vars, violations)))[2:-2]
+        items = items.replace("},\n      {", "\n    },\n    {\n      ")
+        text = text[: -len("[]\n}")] + "[\n    {\n      " + items + "\n    }\n  ]\n}"
+    return text
+
+
 def _cmd_validate(args: argparse.Namespace) -> int:
     g = _load_graph(args.input)
     specs = _parse_metric_specs(args.metric, args.tau, args.t)
@@ -198,14 +212,8 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     passed = all(report.passed for _, report in checks)
     violations = [v for _, report in checks for v in report.violations]
     if args.json:
-        payload = {
-            "command": "validate",
-            "metric": name,
-            "params": params,
-            "passed": passed,
-            "violations": [asdict(v) for v in violations],
-        }
-        _write_output(json.dumps(payload, indent=2) + "\n", args.output)
+        payload = {"command": "validate", "metric": name, "params": params, "passed": passed}
+        _write_output(_validate_json(payload, violations) + "\n", args.output)
     else:
         lines = []
         for label, report in checks:

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import linalg, measures
 from .errors import NumericError, ParameterError
-from .graph import Graph, adjacency_matrix, cutpoint_table, laplacian
+from .graph import Graph, _separated, adjacency_matrix, laplacian, separation_labels
 from .types import DistanceMatrix, TransitionalMeasure, ValidationReport, Violation
 
 __all__ = [
@@ -208,19 +208,12 @@ def check_metric_axioms(d: DistanceMatrix, tol: float = 1e-9) -> ValidationRepor
                 violations.append(Violation(i, j, i, a, b, True))
             if not a > 0.0:
                 violations.append(Violation(i, j, i, a, 0.0, False))
-    rows = v.tolist()
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            if j == i:
-                continue
-            for k in range(1, n + 1):
-                if k == i or k == j:
-                    continue
-                direct = rows[i - 1][k - 1]
-                detour = rows[i - 1][j - 1] + rows[j - 1][k - 1]
-                if direct > detour + tol * detour + EQUALITY_FLOOR:
-                    violations.append(Violation(i, j, k, direct, detour, False))
-    return ValidationReport(passed=not violations, violations=tuple(violations))
+    triples = measures._gap_triples(
+        v, lambda gap, j: -gap > tol * (v + gap) + EQUALITY_FLOOR, distinct=True, j_major=False
+    )
+    i, j, k = triples.T
+    never = np.zeros(len(triples), dtype=bool)
+    return measures._report(triples, v[i, k], v[i, j] + v[j, k], never, tuple(violations))
 
 
 def check_cutpoint_additivity(g: Graph, d: DistanceMatrix, tol: float = 1e-9) -> ValidationReport:
@@ -229,32 +222,22 @@ def check_cutpoint_additivity(g: Graph, d: DistanceMatrix, tol: float = 1e-9) ->
     ``tol`` relative to ``d(i,k)`` plus a 1e-12 floor) must hold exactly
     when every i-to-k path passes through ``j``.
 
-    Violations carry lhs = d(i,j) + d(j,k) and rhs = d(i,k); the
-    ``expected_equal`` flag tells which direction failed.
+    Violations carry lhs = d(i,j) + d(j,k) and rhs = d(i,k), in (i, j, k)
+    order; the ``expected_equal`` flag tells which direction failed.
     """
     if d.order != g.n:
         raise ParameterError(f"distance order {d.order} does not match graph order {g.n}")
-    cut = cutpoint_table(g)
-    rows = d.values.tolist()
-    violations: list[Violation] = []
-    n = g.n
-    for i in range(1, n + 1):
-        row_i = rows[i - 1]
-        for j in range(1, n + 1):
-            if j == i:
-                continue
-            d_ij = row_i[j - 1]
-            row_j = rows[j - 1]
-            cut_ji = cut[j][i]
-            for k in range(1, n + 1):
-                if k == i or k == j:
-                    continue
-                through = d_ij + row_j[k - 1]
-                direct = row_i[k - 1]
-                equal = abs(through - direct) <= tol * abs(direct) + EQUALITY_FLOOR
-                if equal != cut_ji[k]:
-                    violations.append(Violation(i, j, k, through, direct, cut_ji[k]))
-    return ValidationReport(passed=not violations, violations=tuple(violations))
+    x = d.values
+    labels = separation_labels(g)
+    idx = np.arange(g.n)
+    slack = tol * np.abs(x) + EQUALITY_FLOOR
+
+    def fails(gap: np.ndarray, j: int) -> np.ndarray:
+        return (np.abs(gap) <= slack) != _separated(labels, idx[:, None], j, idx[None, :])
+
+    triples = measures._gap_triples(x, fails, distinct=True, j_major=False)
+    i, j, k = triples.T
+    return measures._report(triples, x[i, j] + x[j, k], x[i, k], _separated(labels, i, j, k))
 
 
 def normalize_distances(

@@ -23,6 +23,7 @@ __all__ = [
     "adjacency_matrix",
     "laplacian",
     "is_cutpoint_between",
+    "separation_labels",
     "shortest_path_lengths",
 ]
 
@@ -54,11 +55,10 @@ class Graph:
                 raise GraphInputError(f"edge ({u}, {v}) has non-positive weight {w!r}")
             canonical.append((u, v, w))
         object.__setattr__(self, "edges", tuple(canonical))
-        unreached = self._unreachable_from(1)
-        if unreached:
-            raise GraphInputError(
-                f"graph is disconnected: vertex {min(unreached)} unreachable from vertex 1"
-            )
+        reached = _bfs(self.neighbor_sets(), 1)
+        if len(reached) < self.n:
+            unreached = min(v for v in range(1, self.n + 1) if v not in reached)
+            raise GraphInputError(f"graph is disconnected: vertex {unreached} unreachable from vertex 1")
 
     def neighbor_sets(self) -> list[set[int]]:
         """Adjacency sets indexed 1..n (index 0 unused); loops omitted."""
@@ -69,20 +69,19 @@ class Graph:
                 adj[v].add(u)
         return adj
 
-    def _unreachable_from(self, start: int, removed: int | None = None) -> set[int]:
-        adj = self.neighbor_sets()
-        seen = {start}
-        queue = deque([start])
-        while queue:
-            x = queue.popleft()
-            for y in adj[x]:
-                if y != removed and y not in seen:
-                    seen.add(y)
-                    queue.append(y)
-        vertices = set(range(1, self.n + 1))
-        if removed is not None:
-            vertices.discard(removed)
-        return vertices - seen
+
+def _bfs(adj: list[set[int]], start: int, removed: int = 0) -> dict[int, int]:
+    """Hop count from ``start`` to every vertex it reaches without entering
+    ``removed`` (0, which is no vertex id, removes nothing)."""
+    hops = {start: 0}
+    queue = deque([start])
+    while queue:
+        x = queue.popleft()
+        for y in adj[x]:
+            if y != removed and y not in hops:
+                hops[y] = hops[x] + 1
+                queue.append(y)
+    return hops
 
 
 def parse_graph(text: str) -> Graph:
@@ -158,47 +157,42 @@ def is_cutpoint_between(g: Graph, j: int, i: int, k: int) -> bool:
             raise GraphInputError(f"vertex id out of range 1..{g.n}: {v}")
     if j == i or j == k:
         return True
-    return k in g._unreachable_from(i, removed=j)
+    return k not in _bfs(g.neighbor_sets(), i, removed=j)
 
 
-def cutpoint_table(g: Graph) -> list[list[list[bool]]]:
-    """Precomputed ``table[j][i][k] = is_cutpoint_between(g, j, i, k)``.
+def separation_labels(g: Graph) -> np.ndarray:
+    """n x n int array whose row ``j - 1`` labels every vertex by its
+    component of G minus ``j``, and ``j`` itself by -1.
 
-    Indexed with 1-based ids (index 0 unused).  One vertex-removal sweep
-    per ``j`` instead of one per triple.
+    ``j`` separates ``i`` from ``k`` exactly when their labels in that row
+    differ or ``i == j == k``; ``j`` is an articulation point exactly when
+    its row holds two labels besides -1.  Costs O(n (n + m)).
     """
-    size = g.n + 1
-    table = [[[False] * size for _ in range(size)] for _ in range(size)]
-    for j in range(1, size):
-        labels = _component_labels(g, removed=j)
-        for i in range(1, size):
-            row = table[j][i]
-            for k in range(1, size):
-                if j == i or j == k:
-                    row[k] = True
-                elif i != j and k != j:
-                    row[k] = labels[i] != labels[k]
-    return table
-
-
-def _component_labels(g: Graph, removed: int) -> list[int]:
-    """Connected-component label per vertex after deleting ``removed``."""
     adj = g.neighbor_sets()
-    labels = [-1] * (g.n + 1)
-    current = 0
-    for start in range(1, g.n + 1):
-        if start == removed or labels[start] != -1:
-            continue
-        labels[start] = current
-        queue = deque([start])
-        while queue:
-            x = queue.popleft()
-            for y in adj[x]:
-                if y != removed and labels[y] == -1:
-                    labels[y] = current
-                    queue.append(y)
-        current += 1
+    labels = np.full((g.n, g.n), -1)
+    for j in range(1, g.n + 1):
+        row = labels[j - 1]
+        current = 0
+        for start in range(1, g.n + 1):
+            if start != j and row[start - 1] < 0:
+                row[[v - 1 for v in _bfs(adj, start, removed=j)]] = current
+                current += 1
     return labels
+
+
+def _separated(labels: np.ndarray, i, j, k) -> np.ndarray:
+    """Whether ``j`` separates ``i`` from ``k``, elementwise over broadcast
+    0-based index arrays."""
+    return (labels[j, i] != labels[j, k]) | ((i == j) & (j == k))
+
+
+def cutpoint_table(g: Graph) -> np.ndarray:
+    """``table[j][i][k] = is_cutpoint_between(g, j, i, k)`` as an (n+1)^3
+    boolean array with 1-based ids (index 0 unused), for small graphs."""
+    idx = np.arange(g.n)
+    table = np.zeros((g.n + 1,) * 3, dtype=bool)
+    table[1:, 1:, 1:] = _separated(separation_labels(g), idx[None, :, None], idx[:, None, None], idx[None, None, :])
+    return table
 
 
 def shortest_path_lengths(g: Graph) -> DistanceMatrix:
@@ -207,14 +201,6 @@ def shortest_path_lengths(g: Graph) -> DistanceMatrix:
     adj = g.neighbor_sets()
     values = np.zeros((g.n, g.n))
     for s in range(1, g.n + 1):
-        dist = {s: 0}
-        queue = deque([s])
-        while queue:
-            x = queue.popleft()
-            for y in adj[x]:
-                if y not in dist:
-                    dist[y] = dist[x] + 1
-                    queue.append(y)
-        for v, d in dist.items():
+        for v, d in _bfs(adj, s).items():
             values[s - 1, v - 1] = float(d)
     return DistanceMatrix(values, "shortest")

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import linalg
 from .errors import CapExceededError, NumericError, ParameterError
-from .graph import Graph, adjacency_matrix, cutpoint_table, laplacian
+from .graph import Graph, _separated, adjacency_matrix, laplacian, separation_labels
 from .types import TransitionalMeasure, ValidationReport, Violation
 
 __all__ = [
@@ -33,7 +33,6 @@ __all__ = [
 
 PATH_VERTEX_CAP = 12
 PATHS_PER_PAIR_CAP = 4096
-EQUALITY_FLOOR = 1e-12
 
 
 def _sorted_adjacency(g: Graph) -> list[list[tuple[int, int, float]]]:
@@ -236,6 +235,52 @@ def walk_matrix(g: Graph, t: float) -> TransitionalMeasure:
     return TransitionalMeasure("walk", r, {"t": t})
 
 
+def _gap_triples(x: np.ndarray, fails, distinct: bool, j_major: bool) -> np.ndarray:
+    """The kernel of every triple checker: for each pivot ``j``, the triangle
+    gap ``x[i, j] + x[j, k] - x[i, k]`` as one n x n array.
+
+    Returns the 0-based rows ``(i, j, k)`` where ``fails(gap, j)`` holds,
+    over all triples or only those with i, j, k distinct, ordered by
+    ``(j, i, k)`` if ``j_major`` else by ``(i, j, k)``.
+    """
+    n = x.shape[0]
+    other = ~np.eye(n, dtype=bool)
+    hits = []
+    for j in range(n):
+        bad = fails(x[:, j, None] + x[None, j, :] - x, j)
+        if distinct:
+            bad &= other
+            bad[j, :] = bad[:, j] = False
+        hits.append(np.flatnonzero(bad))
+    flat = np.concatenate([np.empty(0, dtype=np.intp), *hits])
+    triples = np.column_stack((flat // n, np.repeat(np.arange(n), [len(h) for h in hits]), flat % n))
+    return triples if j_major else triples[np.lexsort(triples.T[::-1])]
+
+
+def _report(
+    triples: np.ndarray, lhs: np.ndarray, rhs: np.ndarray, expected: np.ndarray, earlier: tuple[Violation, ...] = ()
+) -> ValidationReport:
+    """The ``earlier`` violations, then one per row of 0-based ``triples``."""
+    found = tuple(map(Violation, *(triples + 1).T.tolist(), lhs.tolist(), rhs.tolist(), expected.tolist()))
+    return ValidationReport(passed=not (earlier or found), violations=earlier + found)
+
+
+def _transition_report(s: np.ndarray, labels: np.ndarray, tol: float) -> ValidationReport:
+    """:func:`validate_transitional_measure` of the matrix ``s``, given the
+    graph's :func:`separation_labels`."""
+    h = np.log(s)
+    idx = np.arange(len(s))
+
+    def fails(kernel: np.ndarray, j: int) -> np.ndarray:
+        gap = h[j, j] - kernel  # ln S_ik + ln S_jj - ln S_ij - ln S_jk = ln(rhs / lhs)
+        return (gap < -tol) | ((np.abs(gap) <= tol) != _separated(labels, idx[:, None], j, idx[None, :]))
+
+    triples = _gap_triples(h, fails, distinct=False, j_major=True)
+    i, j, k = triples.T
+    with np.errstate(over="ignore"):  # products of huge entries may overflow; their logs do not
+        return _report(triples, s[i, j] * s[j, k], s[i, k] * s[j, j], _separated(labels, i, j, k))
+
+
 def validate_transitional_measure(
     g: Graph, s: TransitionalMeasure, tol: float = 1e-9
 ) -> ValidationReport:
@@ -243,34 +288,16 @@ def validate_transitional_measure(
     candidate measure against the cutpoint oracle.
 
     For every ordered triple (i, j, k): ``S[i,j] * S[j,k]`` must not exceed
-    ``S[i,k] * S[j,j]`` beyond tolerance, and must equal it (within ``tol``
-    relative plus a 1e-12 floor) exactly when every i-to-k path contains
-    ``j``.  All violations are reported, none raised.
+    ``S[i,k] * S[j,j]`` beyond tolerance, and must equal it exactly when
+    every i-to-k path contains ``j``.  The comparison is made in log
+    space, ``|ln S_ik + ln S_jj - ln S_ij - ln S_jk| <= tol``, which is
+    relative with no absolute floor, so neither tiny nor huge entries
+    distort it.  Violations carry lhs = S_ij S_jk and rhs = S_ik S_jj, in
+    (j, i, k) order.  All violations are reported, none raised.
     """
     if s.order != g.n:
         raise ParameterError(f"measure order {s.order} does not match graph order {g.n}")
-    rows = s.matrix.tolist()
-    cut = cutpoint_table(g)
-    violations: list[Violation] = []
-    n = g.n
-    for j in range(1, n + 1):
-        s_jj = rows[j - 1][j - 1]
-        cut_j = cut[j]
-        row_j = rows[j - 1]
-        for i in range(1, n + 1):
-            s_ij = rows[i - 1][j - 1]
-            row_i = rows[i - 1]
-            cut_ji = cut_j[i]
-            for k in range(1, n + 1):
-                lhs = s_ij * row_j[k - 1]
-                rhs = row_i[k - 1] * s_jj
-                slack = tol * (lhs if lhs > rhs else rhs) + EQUALITY_FLOOR
-                expected = cut_ji[k]
-                if lhs > rhs + slack:
-                    violations.append(Violation(i, j, k, lhs, rhs, expected))
-                elif (abs(lhs - rhs) <= slack) != expected:
-                    violations.append(Violation(i, j, k, lhs, rhs, expected))
-    return ValidationReport(passed=not violations, violations=tuple(violations))
+    return _transition_report(s.matrix, separation_labels(g), tol)
 
 
 def find_tau_threshold(
@@ -290,8 +317,10 @@ def find_tau_threshold(
     if not precision > 0.0:
         raise ParameterError(f"precision must be positive, got {precision}")
 
+    labels = separation_labels(g)
+
     def passes(tau: float) -> bool:
-        return validate_transitional_measure(g, path_accessibility(g, tau, max_vertices), tol).passed
+        return _transition_report(path_accessibility(g, tau, max_vertices).matrix, labels, tol).passed
 
     start = 1.0 / linalg._spectral_radius(adjacency_matrix(g))
     if passes(start):

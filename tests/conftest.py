@@ -48,6 +48,13 @@ def complete(n):
     return Graph(n, tuple(clique_edges(range(1, n + 1))))
 
 
+def triangle_chain(count):
+    """``count`` unit triangles glued in a row at cut vertices 3, 5, ...:
+    triangle t spans 2t+1, 2t+2, 2t+3, so there are 2 count + 1 vertices."""
+    edges = [e for t in range(count) for e in clique_edges((2 * t + 1, 2 * t + 2, 2 * t + 3))]
+    return Graph(2 * count + 1, tuple(edges))
+
+
 NAMED = {
     "p2": p2,
     "p3": p3,

@@ -4,8 +4,11 @@ import math
 import numpy as np
 import pytest
 
-from cutmetrics import DistanceMatrix, check_metric_axioms
-from cutmetrics.cli import main
+from cutmetrics import DistanceMatrix, adjacency_matrix, check_metric_axioms, spectral_data
+from cutmetrics.cli import _validate_json, main
+from cutmetrics.types import Violation
+
+from conftest import triangle_chain
 
 P2_FILE = "2\n1 2 1.0\n"
 P4_FILE = "4\n1 2 1\n2 3 1\n3 4 1\n"
@@ -139,6 +142,41 @@ class TestValidate:
 
     def test_shortest_fails_on_c4(self, graph_file):
         assert main(["validate", "--input", graph_file(C4_FILE), "--metric", "shortest"]) == 1
+
+    def test_shortest_json_payload_on_diamond(self, graph_file, tmp_path):
+        out = tmp_path / "report.json"
+        argv = ["validate", "--input", graph_file(DIAMOND_FILE), "--metric", "shortest", "--json", "--output", str(out)]
+        code = main(argv)
+        assert code == 1
+        entry = (
+            '    {{\n      "i": {},\n      "j": {},\n      "k": {},\n      "lhs": 2.0,\n'
+            '      "rhs": 2.0,\n      "expected_equal": false\n    }}'
+        )
+        violations = ",\n".join(entry.format(*t) for t in ((1, 2, 4), (1, 3, 4), (4, 2, 1), (4, 3, 1)))
+        expected = (
+            '{\n  "command": "validate",\n  "metric": "shortest",\n  "params": {},\n'
+            f'  "passed": false,\n  "violations": [\n{violations}\n  ]\n}}\n'
+        )
+        assert out.read_text() == expected
+
+    def test_json_writer_matches_indented_dumps(self):
+        # The violations go through the C encoder; the bytes must be those of
+        # json.dumps(indent=2), non-finite floats included.
+        payload = {"command": "validate", "metric": "path", "params": {"tau": 0.7}, "passed": False}
+        found = [
+            Violation(1, 2, 3, 0.1, 2.0, False),
+            Violation(4, 5, 6, math.inf, -math.inf, True),
+            Violation(7, 8, 9, math.nan, 5e-324, False),
+        ]
+        for violations in (found, found[:1], []):
+            expected = json.dumps({**payload, "violations": [vars(v) for v in violations]}, indent=2)
+            assert _validate_json(payload, violations) == expected
+
+    def test_walk_on_triangle_chain_passes(self, graph_file):
+        g = triangle_chain(20)
+        text = f"{g.n}\n" + "".join(f"{u} {v} {w}\n" for u, v, w in g.edges)
+        t = 0.5 / spectral_data(adjacency_matrix(g)).rho
+        assert main(["validate", "--input", graph_file(text), "--metric", f"walk:t={t!r}"]) == 0
 
 
 class TestCompare:

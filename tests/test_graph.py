@@ -9,8 +9,10 @@ from cutmetrics import (
     is_cutpoint_between,
     laplacian,
     parse_graph,
+    separation_labels,
     shortest_path_lengths,
 )
+from cutmetrics.graph import cutpoint_table
 
 from conftest import k3, p2, p3, p4
 
@@ -135,6 +137,42 @@ class TestCutpointOracle:
                     node = parent[node]
                 for j in range(1, 5):
                     assert is_cutpoint_between(g, j, i, k) == (j in on_path)
+
+
+class TestSeparationLabels:
+    def test_triangle_with_pendant_path(self):
+        # Triangle 1-2-3 with the path 3-4-5 hanging off vertex 3.
+        g = Graph(5, ((1, 2, 1.0), (2, 3, 1.0), (1, 3, 1.0), (3, 4, 1.0), (4, 5, 1.0)))
+        expected = [
+            [-1, 0, 0, 0, 0],
+            [0, -1, 0, 0, 0],
+            [0, 0, -1, 1, 1],
+            [0, 0, 0, -1, 1],
+            [0, 0, 0, 0, -1],
+        ]
+        assert separation_labels(g).tolist() == expected
+
+    def test_cutpoint_table_matches_oracle(self, small_corpus):
+        for g in small_corpus[:10]:
+            table = cutpoint_table(g)
+            for j in range(1, g.n + 1):
+                for i in range(1, g.n + 1):
+                    for k in range(1, g.n + 1):
+                        assert table[j][i][k] == is_cutpoint_between(g, j, i, k)
+
+    def test_matches_networkx_on_corpus(self, corpus):
+        nx = pytest.importorskip("networkx")
+        for g in corpus:
+            reference = nx.Graph()
+            reference.add_nodes_from(range(1, g.n + 1))
+            reference.add_edges_from((u, v) for u, v, _ in g.edges if u != v)
+            labels = separation_labels(g)
+            counts = [len(set(row.tolist()) - {-1}) for row in labels]
+            for j in range(1, g.n + 1):
+                rest = reference.subgraph(v for v in range(1, g.n + 1) if v != j)
+                assert counts[j - 1] == nx.number_connected_components(rest), (g, j)
+            articulation = {j for j in range(1, g.n + 1) if counts[j - 1] > 1}
+            assert articulation == set(nx.articulation_points(reference)), g
 
 
 class TestShortestPath:

@@ -20,9 +20,10 @@ from cutmetrics import (
     validate_transitional_measure,
     walk_matrix,
 )
+from cutmetrics import measures
 from cutmetrics.measures import _simple_path_edge_ids
 
-from conftest import complete, k3, p2, p3
+from conftest import complete, k3, p2, p3, triangle_chain
 
 
 class TestPathAccessibility:
@@ -201,6 +202,35 @@ class TestValidateTransitionalMeasure:
         with pytest.raises(ParameterError):
             validate_transitional_measure(p2(), forest_matrix(p3()))
 
+    def test_walk_on_triangle_chain_passes(self):
+        # Walk entries between the ends of the chain fall to about 7e-15,
+        # below any absolute floor a comparison of products could use, so
+        # only a relative comparison tells their products apart.
+        g = triangle_chain(20)
+        measure = walk_matrix(g, 0.5 / spectral_data(adjacency_matrix(g)).rho)
+        assert measure.matrix.min() < 1e-14
+        report = validate_transitional_measure(g, measure)
+        assert report.passed, report.violations[:3]
+
+    def test_forest_on_k100_passes(self):
+        # Forest entries of K_100 reach 1e196, so their products overflow a
+        # float; their logarithms do not.
+        g = complete(100)
+        measure = forest_matrix(g)
+        assert measure.matrix.max() > 1e190
+        report = validate_transitional_measure(g, measure)
+        assert report.passed, report.violations[:3]
+
+    def test_violations_carry_products_in_pivot_major_order(self):
+        measure = path_accessibility(k3(), 0.7)
+        report = validate_transitional_measure(k3(), measure)
+        s = measure.matrix
+        triples = [(v.j, v.i, v.k) for v in report.violations]
+        assert triples == sorted(triples)
+        for v in report.violations:
+            assert v.lhs == s[v.i - 1, v.j - 1] * s[v.j - 1, v.k - 1]
+            assert v.rhs == s[v.i - 1, v.k - 1] * s[v.j - 1, v.j - 1]
+
 
 class TestFindTauThreshold:
     def test_k3_golden_ratio(self):
@@ -219,6 +249,13 @@ class TestFindTauThreshold:
         for g in small_corpus[:6]:
             tau = find_tau_threshold(g, precision=1e-4)
             assert validate_transitional_measure(g, path_accessibility(g, tau)).passed
+
+    def test_one_label_pass_per_call(self, monkeypatch):
+        calls = []
+        original = measures.separation_labels
+        monkeypatch.setattr(measures, "separation_labels", lambda g: calls.append(g) or original(g))
+        find_tau_threshold(k3(), precision=1e-6)
+        assert len(calls) == 1
 
     def test_descends_when_start_fails(self):
         # Five parallel unit edges: rho = 5 and s(1/rho) = 1 exactly, so the

@@ -1,0 +1,126 @@
+"""Property tests of the checkers: vertex relabeling and gluing at a vertex."""
+
+import numpy as np
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+from cutmetrics import (  # noqa: E402
+    DistanceMatrix,
+    Graph,
+    TransitionalMeasure,
+    adjacency_matrix,
+    check_cutpoint_additivity,
+    check_metric_axioms,
+    connection_reliability,
+    find_tau_threshold,
+    forest_distance,
+    forest_matrix,
+    is_cutpoint_between,
+    log_distance,
+    path_accessibility,
+    separation_labels,
+    shortest_path_lengths,
+    spectral_data,
+    validate_transitional_measure,
+    walk_matrix,
+)
+
+PROPERTY_SETTINGS = settings(max_examples=25, deadline=None, derandomize=True)
+
+
+@st.composite
+def connected_graphs(draw, min_n=2, max_n=7):
+    """Random spanning tree plus a few chords, weights in [0.3, 0.95]
+    (below 1 so that the reliability measure is not degenerate)."""
+    n = draw(st.integers(min_n, max_n))
+    weight = st.floats(0.3, 0.95)
+    edges = [(draw(st.integers(1, v - 1)), v, draw(weight)) for v in range(2, n + 1)]
+    for _ in range(draw(st.integers(0, 3))):
+        u, v = draw(st.integers(1, n)), draw(st.integers(1, n))
+        if u != v and all({u, v} != {a, b} for a, b, _ in edges):
+            edges.append((u, v, draw(weight)))
+    return Graph(n, tuple(edges))
+
+
+def _relabel(g, perm):
+    """``perm[v - 1]`` is the new id of vertex ``v``."""
+    return Graph(g.n, tuple((perm[u - 1], perm[v - 1], w) for u, v, w in g.edges))
+
+
+def _permuted(matrix, perm):
+    out = np.empty_like(matrix)
+    idx = np.asarray(perm) - 1
+    out[np.ix_(idx, idx)] = matrix
+    return out
+
+
+def _mapped(report, perm):
+    return sorted(
+        (perm[v.i - 1], perm[v.j - 1], perm[v.k - 1], v.lhs, v.rhs, v.expected_equal) for v in report.violations
+    )
+
+
+def _as_tuples(report):
+    return sorted((v.i, v.j, v.k, v.lhs, v.rhs, v.expected_equal) for v in report.violations)
+
+
+@PROPERTY_SETTINGS
+@given(g=connected_graphs(min_n=3), data=st.data())
+def test_relabeling_permutes_reports(g, data):
+    perm = data.draw(st.permutations(range(1, g.n + 1)))
+    h = _relabel(g, perm)
+    rho = spectral_data(adjacency_matrix(g)).rho
+    # A path measure past its threshold and shortest path give violations
+    # in both directions; symmetric noise on the forest distance breaks
+    # the triangle inequality.
+    measure = path_accessibility(g, 2.0 / rho)
+    moved = TransitionalMeasure("path", _permuted(measure.matrix, perm))
+    noise = np.random.default_rng(g.n).uniform(0.5, 1.5, (g.n, g.n))
+    noisy = DistanceMatrix(forest_distance(g).values * (noise + noise.T) / 2.0, "noisy")
+    shortest = shortest_path_lengths(g)
+
+    before = [
+        validate_transitional_measure(g, measure),
+        check_cutpoint_additivity(g, shortest),
+        check_metric_axioms(noisy),
+    ]
+    after = [
+        validate_transitional_measure(h, moved),
+        check_cutpoint_additivity(h, DistanceMatrix(_permuted(shortest.values, perm), "shortest")),
+        check_metric_axioms(DistanceMatrix(_permuted(noisy.values, perm), "noisy")),
+    ]
+    for old, new in zip(before, after):
+        assert new.passed == old.passed
+        assert _as_tuples(new) == _mapped(old, perm)
+
+
+@PROPERTY_SETTINGS
+@given(left=connected_graphs(max_n=4), right=connected_graphs(max_n=4), data=st.data())
+def test_gluing_at_a_vertex_makes_it_separate_and_all_families_additive(left, right, data):
+    a = data.draw(st.integers(1, left.n))
+    b = data.draw(st.integers(1, right.n))
+    # Right-hand vertex b becomes a; the others follow the left vertices.
+    others = [v for v in range(1, right.n + 1) if v != b]
+    new_id = {b: a, **{v: left.n + 1 + idx for idx, v in enumerate(others)}}
+    g = Graph(left.n + len(others), left.edges + tuple((new_id[u], new_id[v], w) for u, v, w in right.edges))
+
+    side = separation_labels(g)[a - 1]
+    left_side = [v for v in range(1, left.n + 1) if v != a]
+    right_side = [new_id[v] for v in others]
+    assert not set(side[[v - 1 for v in left_side]]) & set(side[[v - 1 for v in right_side]])
+    for i in left_side:
+        for k in right_side:
+            assert is_cutpoint_between(g, a, i, k)
+
+    rho = spectral_data(adjacency_matrix(g)).rho
+    families = {
+        "path": path_accessibility(g, find_tau_threshold(g, precision=1e-4) / 2.0),
+        "reliability": connection_reliability(g),
+        "forest": forest_matrix(g),
+        "walk": walk_matrix(g, 0.5 / rho),
+    }
+    for name, measure in families.items():
+        report = check_cutpoint_additivity(g, log_distance(measure))
+        assert report.passed, (name, report.violations[:3])

@@ -1,0 +1,21 @@
+"""The benchmark's tracer wraps package functions by name; a rename must
+fail here rather than in ``bench/run.py --trace 1``."""
+
+import importlib
+import importlib.util
+from pathlib import Path
+
+TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
+
+
+def test_traced_names_resolve():
+    spec = importlib.util.spec_from_file_location("bench_tracing", TRACING)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    missing = [
+        f"{module}.{fn}"
+        for module, fns in tracing.TRACED.items()
+        for fn in fns
+        if not callable(getattr(importlib.import_module(f"cutmetrics.{module}"), fn, None))
+    ]
+    assert tracing.TRACED_NAMES and not missing, missing
