@@ -19,9 +19,11 @@ import json
 import math
 import sys
 
+import numpy as np
+
 from . import distances, measures
 from .errors import GraphInputError, NumericError, ParameterError
-from .graph import Graph, parse_graph, shortest_path_lengths
+from .graph import Graph, parse_graph, separation_labels, shortest_path_lengths
 from .types import DistanceMatrix, ValidationReport
 
 __all__ = ["main", "entry_point"]
@@ -176,18 +178,31 @@ def _measure_for(g: Graph, name: str, params: dict[str, float]):
     return None
 
 
-# With ``indent`` set, json.dumps takes its pure-Python encoder.  The C encoder
-# with this item separator lays out flat dicts as indent=2 does, braces aside.
-_encode_flat_dicts = json.JSONEncoder(separators=(",\n      ", ": ")).encode
+# One violation as json.dumps(indent=2) lays it out inside the payload.
+_VIOLATION = (
+    '    {\n      "i": %d,\n      "j": %d,\n      "k": %d,\n      "lhs": %s,\n      "rhs": %s,\n'
+    '      "expected_equal": %s\n    }'
+)
+_encode = json.JSONEncoder().encode
 
 
-def _validate_json(payload: dict, violations) -> str:
-    """``json.dumps(indent=2)`` of ``payload`` with the violations appended as dicts."""
+def _json_floats(values: np.ndarray) -> list[str]:
+    """The json spellings of a non-empty float array: repr, ``Infinity``,
+    ``-Infinity`` or ``NaN``, from one call into the C encoder."""
+    return _encode(values.tolist())[1:-1].split(", ")
+
+
+def _validate_json(payload: dict, reports) -> str:
+    """``json.dumps(indent=2)`` of ``payload`` with the violations of
+    ``reports`` appended as dicts, written straight from their columns."""
     text = json.dumps({**payload, "violations": []}, indent=2)
-    if violations:  # numbers and booleans only, so every brace is a dict's own
-        items = _encode_flat_dicts(list(map(vars, violations)))[2:-2]
-        items = items.replace("},\n      {", "\n    },\n    {\n      ")
-        text = text[: -len("[]\n}")] + "[\n    {\n      " + items + "\n    }\n  ]\n}"
+    triples, lhs, rhs, expected = (np.concatenate(c) for c in zip(*(r._table() for r in reports)))
+    if len(lhs):
+        i, j, k = triples.T.tolist()
+        flags = [("false", "true")[e] for e in expected.tolist()]
+        rows = zip(i, j, k, _json_floats(lhs), _json_floats(rhs), flags)
+        items = ",\n".join(map(_VIOLATION.__mod__, rows))
+        text = "".join((text[: -len("[]\n}")], "[\n", items, "\n  ]\n}"))
     return text
 
 
@@ -201,19 +216,19 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
     checks: list[tuple[str, ValidationReport]] = []
     measure = _measure_for(g, name, params)
+    labels = separation_labels(g)
     if measure is not None:
-        checks.append(("transitional-measure", measures.validate_transitional_measure(g, measure, tol)))
+        checks.append(("transitional-measure", measures._transition_report(measure.matrix, labels, tol)))
         d = distances.log_distance(measure)
     else:
         d = _build_distance(g, name, params)
-    checks.append(("metric-axioms", distances.check_metric_axioms(d, tol)))
-    checks.append(("cutpoint-additivity", distances.check_cutpoint_additivity(g, d, tol)))
+    axioms, additivity = distances._distance_reports(g, d, labels, tol)
+    checks += [("metric-axioms", axioms), ("cutpoint-additivity", additivity)]
 
     passed = all(report.passed for _, report in checks)
-    violations = [v for _, report in checks for v in report.violations]
     if args.json:
         payload = {"command": "validate", "metric": name, "params": params, "passed": passed}
-        _write_output(_validate_json(payload, violations) + "\n", args.output)
+        _write_output(_validate_json(payload, [report for _, report in checks]) + "\n", args.output)
     else:
         lines = []
         for label, report in checks:

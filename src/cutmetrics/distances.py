@@ -18,8 +18,8 @@ import numpy as np
 
 from . import linalg, measures
 from .errors import NumericError, ParameterError
-from .graph import Graph, _separated, adjacency_matrix, laplacian, separation_labels
-from .types import DistanceMatrix, TransitionalMeasure, ValidationReport, Violation
+from .graph import Graph, _separated, _separated_at, adjacency_matrix, laplacian, separation_labels
+from .types import DistanceMatrix, TransitionalMeasure, ValidationReport
 
 __all__ = [
     "log_distance",
@@ -192,28 +192,14 @@ def check_metric_axioms(d: DistanceMatrix, tol: float = 1e-9) -> ValidationRepor
     Violation encoding: symmetry failures carry (i, j, i) with the two
     entries as lhs/rhs; diagonal and positivity failures carry the entry as
     lhs and 0 as rhs; triangle failures carry (i, j, k) with
-    lhs = d(i,k) and rhs = d(i,j) + d(j,k).
+    lhs = d(i,k) and rhs = d(i,j) + d(j,k).  Diagonal failures come first
+    in i order, then for each pair i < j in row-major order its symmetry
+    failure before its positivity failure, then triangle failures in
+    (i, j, k) order.
     """
     v = d.values
-    n = v.shape[0]
-    violations: list[Violation] = []
-    for i in range(1, n + 1):
-        entry = float(v[i - 1, i - 1])
-        if abs(entry) > EQUALITY_FLOOR:
-            violations.append(Violation(i, i, i, entry, 0.0, True))
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            a, b = float(v[i - 1, j - 1]), float(v[j - 1, i - 1])
-            if abs(a - b) > tol * max(abs(a), abs(b)) + EQUALITY_FLOOR:
-                violations.append(Violation(i, j, i, a, b, True))
-            if not a > 0.0:
-                violations.append(Violation(i, j, i, a, 0.0, False))
-    triples = measures._gap_triples(
-        v, lambda gap, j: -gap > tol * (v + gap) + EQUALITY_FLOOR, distinct=True, j_major=False
-    )
-    i, j, k = triples.T
-    never = np.zeros(len(triples), dtype=bool)
-    return measures._report(triples, v[i, k], v[i, j] + v[j, k], never, tuple(violations))
+    (triangle,) = measures._gap_triples(v, [_triangle_test(v, tol)], distinct=True, j_major=False)
+    return _axioms_report(v, tol, triangle)
 
 
 def check_cutpoint_additivity(g: Graph, d: DistanceMatrix, tol: float = 1e-9) -> ValidationReport:
@@ -225,17 +211,56 @@ def check_cutpoint_additivity(g: Graph, d: DistanceMatrix, tol: float = 1e-9) ->
     Violations carry lhs = d(i,j) + d(j,k) and rhs = d(i,k), in (i, j, k)
     order; the ``expected_equal`` flag tells which direction failed.
     """
-    if d.order != g.n:
-        raise ParameterError(f"distance order {d.order} does not match graph order {g.n}")
+    _check_order(g, d)
     x = d.values
     labels = separation_labels(g)
-    idx = np.arange(g.n)
+    (triples,) = measures._gap_triples(x, [_additivity_test(x, labels, tol)], distinct=True, j_major=False)
+    return _additivity_report(x, labels, triples)
+
+
+def _distance_reports(g: Graph, d: DistanceMatrix, labels: np.ndarray, tol: float):
+    """``(check_metric_axioms(d, tol), check_cutpoint_additivity(g, d, tol))``
+    from one pass over the triangle gaps, given the graph's
+    :func:`separation_labels`."""
+    _check_order(g, d)
+    x = d.values
+    tests = [_triangle_test(x, tol), _additivity_test(x, labels, tol)]
+    triangle, additive = measures._gap_triples(x, tests, distinct=True, j_major=False)
+    return _axioms_report(x, tol, triangle), _additivity_report(x, labels, additive)
+
+
+def _check_order(g: Graph, d: DistanceMatrix) -> None:
+    if d.order != g.n:
+        raise ParameterError(f"distance order {d.order} does not match graph order {g.n}")
+
+
+def _triangle_test(v: np.ndarray, tol: float):
+    return lambda gap, j: -gap > tol * (v + gap) + EQUALITY_FLOOR
+
+
+def _additivity_test(x: np.ndarray, labels: np.ndarray, tol: float):
     slack = tol * np.abs(x) + EQUALITY_FLOOR
+    return lambda gap, j: (np.abs(gap) <= slack) != _separated_at(labels, j)
 
-    def fails(gap: np.ndarray, j: int) -> np.ndarray:
-        return (np.abs(gap) <= slack) != _separated(labels, idx[:, None], j, idx[None, :])
 
-    triples = measures._gap_triples(x, fails, distinct=True, j_major=False)
+def _axioms_report(v: np.ndarray, tol: float, triangle: np.ndarray) -> ValidationReport:
+    diag = np.diag(v)
+    loops = np.flatnonzero(np.abs(diag) > EQUALITY_FLOOR)
+    upper, lower = np.triu_indices(len(v), 1)
+    a, b = v[upper, lower], v[lower, upper]
+    asymmetric = np.abs(a - b) > tol * np.maximum(np.abs(a), np.abs(b)) + EQUALITY_FLOOR
+    pair, kind = np.nonzero(np.column_stack((asymmetric, ~(a > 0.0))))  # per pair, symmetry first
+    symmetry = kind == 0
+    i, j, k = triangle.T
+    return measures._report(
+        np.concatenate((np.repeat(loops, 3).reshape(-1, 3), np.column_stack((upper, lower, upper))[pair], triangle)),
+        np.concatenate((diag[loops], a[pair], v[i, k])),
+        np.concatenate((np.zeros(len(loops)), np.where(symmetry, b[pair], 0.0), v[i, j] + v[j, k])),
+        np.concatenate((np.ones(len(loops), dtype=bool), symmetry, np.zeros(len(triangle), dtype=bool))),
+    )
+
+
+def _additivity_report(x: np.ndarray, labels: np.ndarray, triples: np.ndarray) -> ValidationReport:
     i, j, k = triples.T
     return measures._report(triples, x[i, j] + x[j, k], x[i, k], _separated(labels, i, j, k))
 

@@ -1,4 +1,4 @@
-"""Connected weighted multigraphs: parsing, matrices, and the cutpoint oracle.
+"""Connected weighted multigraphs: parsing, matrices, the block-cut tree and the cutpoint oracle.
 
 A graph is a frozen value object with 1-based vertex ids.  Parallel edges
 and loops are kept as distinct edge instances; connectivity (ignoring
@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -160,23 +161,88 @@ def is_cutpoint_between(g: Graph, j: int, i: int, k: int) -> bool:
     return k not in _bfs(g.neighbor_sets(), i, removed=j)
 
 
+class _BlockCutTree(NamedTuple):
+    """Blocks and cut vertices of a connected graph, from one depth-first
+    search rooted at vertex 1; every vertex is 0-based.
+
+    Block ``b`` is ``blocks[b]``, its head first: the vertex through which
+    it hangs from the rest of the tree (vertex 0 for the blocks at the
+    root).  Removing the head cuts off the branch below it through ``b``,
+    whose vertices are ``order[spans[b, 0]:spans[b, 1]]`` in discovery
+    order.
+    """
+
+    order: np.ndarray
+    blocks: tuple[np.ndarray, ...]
+    spans: np.ndarray
+
+    @property
+    def cut_vertices(self) -> np.ndarray:
+        """Sorted cut vertices: every head but the root, and the root when it
+        heads two blocks or more."""
+        heads = np.array([block[0] for block in self.blocks])
+        return np.unique(heads[(heads != 0) | (np.count_nonzero(heads == 0) > 1)])
+
+
+def _block_cut_tree(g: Graph) -> _BlockCutTree:
+    """The block-cut tree by the Hopcroft-Tarjan low-point pass, O(n + m),
+    with an explicit stack in place of recursion."""
+    adj = g.neighbor_sets()
+    found = [0] * (g.n + 1)  # discovery rank, from 1; 0 while undiscovered
+    low = [0] * (g.n + 1)
+    order = [1]
+    trail = [1]  # discovered vertices not yet assigned to a block
+    at = [0] * (g.n + 1)  # position on the trail
+    found[1] = low[1] = 1
+    stack = [(1, iter(adj[1]))]
+    blocks, spans = [], []
+    while stack:
+        v, rest = stack[-1]
+        for w in rest:
+            if found[w]:
+                low[v] = min(low[v], found[w])
+            else:
+                order.append(w)
+                found[w] = low[w] = len(order)
+                at[w] = len(trail)
+                trail.append(w)
+                stack.append((w, iter(adj[w])))
+                break
+        else:
+            stack.pop()
+            if not stack:
+                break
+            p = stack[-1][0]
+            low[p] = min(low[p], low[v])
+            if low[v] >= found[p]:  # p separates the subtree of v from the rest
+                blocks.append(np.array([p, *trail[at[v] :]]) - 1)
+                del trail[at[v] :]
+                spans.append((found[v] - 1, len(order)))
+    return _BlockCutTree(np.array(order) - 1, tuple(blocks), np.array(spans))
+
+
 def separation_labels(g: Graph) -> np.ndarray:
     """n x n int array whose row ``j - 1`` labels every vertex by its
-    component of G minus ``j``, and ``j`` itself by -1.
+    component of G minus ``j``, numbered in order of their smallest
+    vertex, and ``j`` itself by -1.
 
     ``j`` separates ``i`` from ``k`` exactly when their labels in that row
     differ or ``i == j == k``; ``j`` is an articulation point exactly when
-    its row holds two labels besides -1.  Costs O(n (n + m)).
+    its row holds two labels besides -1.  Built from the block-cut tree:
+    O(n + m) for the tree plus O(n^2) for writing the rows.
     """
-    adj = g.neighbor_sets()
-    labels = np.full((g.n, g.n), -1)
-    for j in range(1, g.n + 1):
-        row = labels[j - 1]
-        current = 0
-        for start in range(1, g.n + 1):
-            if start != j and row[start - 1] < 0:
-                row[[v - 1 for v in _bfs(adj, start, removed=j)]] = current
-                current += 1
+    tree = _block_cut_tree(g)
+    branches = [tree.order[start:stop] for start, stop in tree.spans]
+    # The component holding vertex 1, the root, keeps label 0; the branches
+    # below a head take the next labels in order of their smallest vertex.
+    labels = np.zeros((g.n, g.n), dtype=int)
+    next_label = {}
+    for b in np.argsort([branch.min() for branch in branches]):
+        head = tree.blocks[b][0]
+        label = next_label.get(head, 1 if head else 0)
+        next_label[head] = label + 1
+        labels[head, branches[b]] = label
+    np.fill_diagonal(labels, -1)
     return labels
 
 
@@ -184,6 +250,15 @@ def _separated(labels: np.ndarray, i, j, k) -> np.ndarray:
     """Whether ``j`` separates ``i`` from ``k``, elementwise over broadcast
     0-based index arrays."""
     return (labels[j, i] != labels[j, k]) | ((i == j) & (j == k))
+
+
+def _separated_at(labels: np.ndarray, j: int) -> np.ndarray:
+    """``_separated`` for the pivot ``j`` over all pairs (i, k), as an n x n
+    array."""
+    row = labels[j]
+    out = row[:, None] != row
+    out[j, j] = True
+    return out
 
 
 def cutpoint_table(g: Graph) -> np.ndarray:

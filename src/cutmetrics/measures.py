@@ -19,8 +19,8 @@ import numpy as np
 
 from . import linalg
 from .errors import CapExceededError, NumericError, ParameterError
-from .graph import Graph, _separated, adjacency_matrix, laplacian, separation_labels
-from .types import TransitionalMeasure, ValidationReport, Violation
+from .graph import Graph, _separated, _separated_at, adjacency_matrix, laplacian, separation_labels
+from .types import TransitionalMeasure, ValidationReport
 
 __all__ = [
     "path_accessibility",
@@ -48,12 +48,12 @@ def _sorted_adjacency(g: Graph) -> list[list[tuple[int, int, float]]]:
 
 
 @lru_cache(maxsize=64)
-def _path_length_weights(g: Graph) -> list[list[list[float]]]:
-    """``W[l][i-1][j-1]``: total weight of the simple i-to-j paths with
+def _path_length_weights(g: Graph) -> np.ndarray:
+    """``W[l, i-1, j-1]``: total weight of the simple i-to-j paths with
     exactly ``l`` edges, accumulated in lexicographic path order.
 
-    The length-0 diagonal is 1 (the empty path).  Cached per graph; the
-    result must not be mutated.
+    The length-0 diagonal is 1 (the empty path).  Cached per graph, so the
+    (n, n, n) array is read-only.
     """
     n = g.n
     adj = _sorted_adjacency(g)
@@ -76,7 +76,9 @@ def _path_length_weights(g: Graph) -> list[list[list[float]]]:
                 on_path[u] = False
 
         extend(source, 0, 1.0)
-    return weights
+    array = np.array(weights)
+    array.flags.writeable = False
+    return array
 
 
 def path_accessibility(g: Graph, tau: float, max_vertices: int = PATH_VERTEX_CAP) -> TransitionalMeasure:
@@ -91,17 +93,13 @@ def path_accessibility(g: Graph, tau: float, max_vertices: int = PATH_VERTEX_CAP
         raise ParameterError(f"tau must be positive, got {tau}")
     if g.n > max_vertices:
         raise CapExceededError(f"path enumeration capped at {max_vertices} vertices, graph has {g.n}")
-    weights = _path_length_weights(g)
-    n = g.n
-    s = np.empty((n, n))
-    for a in range(n):
-        for b in range(n):
-            value = 0.0
-            for length in range(n):
-                bucket = weights[length][a][b]
-                if bucket != 0.0:
-                    value = value + tau**length * bucket
-            s[a, b] = value
+    s = np.zeros((g.n, g.n))
+    # Each entry sums its nonzero buckets by ascending length, one rounding
+    # per term, so the result does not depend on how the sum is vectorized.
+    for length, bucket in enumerate(_path_length_weights(g)):
+        nonzero = bucket != 0.0
+        if nonzero.any():
+            s[nonzero] += tau**length * bucket[nonzero]
     return TransitionalMeasure("path", s, {"tau": tau})
 
 
@@ -235,47 +233,50 @@ def walk_matrix(g: Graph, t: float) -> TransitionalMeasure:
     return TransitionalMeasure("walk", r, {"t": t})
 
 
-def _gap_triples(x: np.ndarray, fails, distinct: bool, j_major: bool) -> np.ndarray:
+def _gap_triples(x: np.ndarray, tests, distinct: bool, j_major: bool) -> list[np.ndarray]:
     """The kernel of every triple checker: for each pivot ``j``, the triangle
-    gap ``x[i, j] + x[j, k] - x[i, k]`` as one n x n array.
+    gap ``x[i, j] + x[j, k] - x[i, k]`` as one n x n array, formed once for
+    all ``tests``.
 
-    Returns the 0-based rows ``(i, j, k)`` where ``fails(gap, j)`` holds,
-    over all triples or only those with i, j, k distinct, ordered by
-    ``(j, i, k)`` if ``j_major`` else by ``(i, j, k)``.
+    Returns, for each test, the 0-based rows ``(i, j, k)`` where
+    ``test(gap, j)`` holds, over all triples or only those with i, j, k
+    distinct, ordered by ``(j, i, k)`` if ``j_major`` else by ``(i, j, k)``.
     """
     n = x.shape[0]
     other = ~np.eye(n, dtype=bool)
-    hits = []
+    hits = [[] for _ in tests]
     for j in range(n):
-        bad = fails(x[:, j, None] + x[None, j, :] - x, j)
-        if distinct:
-            bad &= other
-            bad[j, :] = bad[:, j] = False
-        hits.append(np.flatnonzero(bad))
+        gap = x[:, j, None] + x[None, j, :] - x
+        for test, found in zip(tests, hits):
+            bad = test(gap, j)
+            if distinct:
+                bad &= other
+                bad[j, :] = bad[:, j] = False
+            found.append(np.flatnonzero(bad))
+    return [_ordered(found, n, j_major) for found in hits]
+
+
+def _ordered(hits: list[np.ndarray], n: int, j_major: bool) -> np.ndarray:
     flat = np.concatenate([np.empty(0, dtype=np.intp), *hits])
     triples = np.column_stack((flat // n, np.repeat(np.arange(n), [len(h) for h in hits]), flat % n))
     return triples if j_major else triples[np.lexsort(triples.T[::-1])]
 
 
-def _report(
-    triples: np.ndarray, lhs: np.ndarray, rhs: np.ndarray, expected: np.ndarray, earlier: tuple[Violation, ...] = ()
-) -> ValidationReport:
-    """The ``earlier`` violations, then one per row of 0-based ``triples``."""
-    found = tuple(map(Violation, *(triples + 1).T.tolist(), lhs.tolist(), rhs.tolist(), expected.tolist()))
-    return ValidationReport(passed=not (earlier or found), violations=earlier + found)
+def _report(triples: np.ndarray, lhs: np.ndarray, rhs: np.ndarray, expected: np.ndarray) -> ValidationReport:
+    """A report with one violation per row of 0-based ``triples``."""
+    return ValidationReport._from_columns(triples + 1, lhs, rhs, expected)
 
 
 def _transition_report(s: np.ndarray, labels: np.ndarray, tol: float) -> ValidationReport:
     """:func:`validate_transitional_measure` of the matrix ``s``, given the
     graph's :func:`separation_labels`."""
     h = np.log(s)
-    idx = np.arange(len(s))
 
     def fails(kernel: np.ndarray, j: int) -> np.ndarray:
         gap = h[j, j] - kernel  # ln S_ik + ln S_jj - ln S_ij - ln S_jk = ln(rhs / lhs)
-        return (gap < -tol) | ((np.abs(gap) <= tol) != _separated(labels, idx[:, None], j, idx[None, :]))
+        return (gap < -tol) | ((np.abs(gap) <= tol) != _separated_at(labels, j))
 
-    triples = _gap_triples(h, fails, distinct=False, j_major=True)
+    (triples,) = _gap_triples(h, [fails], distinct=False, j_major=True)
     i, j, k = triples.T
     with np.errstate(over="ignore"):  # products of huge entries may overflow; their logs do not
         return _report(triples, s[i, j] * s[j, k], s[i, k] * s[j, j], _separated(labels, i, j, k))

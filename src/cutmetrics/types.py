@@ -35,16 +35,70 @@ class Violation:
     expected_equal: bool
 
 
-@dataclass(frozen=True)
 class ValidationReport:
-    """Pass/fail evidence for a structural check."""
+    """Pass/fail evidence for a structural check.
 
-    passed: bool
-    violations: tuple[Violation, ...] = ()
+    The checkers store their violations as columns: the 1-based (i, j, k)
+    triples and the lhs, rhs and expected_equal arrays.  ``violations``
+    builds the tuple of :class:`Violation` from them on first read.
+    Immutable, and compared and hashed by ``(passed, violations)``.
+    """
 
-    def __post_init__(self) -> None:
-        if self.passed != (len(self.violations) == 0):
+    __slots__ = ("passed", "_violations", "_columns")
+
+    def __init__(self, passed: bool, violations: tuple[Violation, ...] = ()) -> None:
+        violations = tuple(violations)
+        if passed != (len(violations) == 0):
             raise ValueError("passed flag inconsistent with violation list")
+        for name, value in (("passed", passed), ("_violations", violations), ("_columns", None)):
+            object.__setattr__(self, name, value)
+
+    @classmethod
+    def _from_columns(
+        cls, triples: np.ndarray, lhs: np.ndarray, rhs: np.ndarray, expected: np.ndarray
+    ) -> "ValidationReport":
+        report = cls.__new__(cls)
+        columns = (triples, lhs, rhs, expected)
+        for name, value in (("passed", len(lhs) == 0), ("_violations", None), ("_columns", columns)):
+            object.__setattr__(report, name, value)
+        return report
+
+    @property
+    def violations(self) -> tuple[Violation, ...]:
+        if self._violations is None:
+            triples, lhs, rhs, expected = self._columns
+            found = tuple(map(Violation, *triples.T.tolist(), lhs.tolist(), rhs.tolist(), expected.tolist()))
+            object.__setattr__(self, "_violations", found)
+        return self._violations
+
+    def _table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The columns ``(triples, lhs, rhs, expected)``."""
+        if self._columns is None:
+            rows = self._violations
+            columns = (
+                np.array([(v.i, v.j, v.k) for v in rows], dtype=int).reshape(-1, 3),
+                np.array([v.lhs for v in rows], dtype=float),
+                np.array([v.rhs for v in rows], dtype=float),
+                np.array([v.expected_equal for v in rows], dtype=bool),
+            )
+            object.__setattr__(self, "_columns", columns)
+        return self._columns
+
+    def __setattr__(self, name: str, value=None) -> None:
+        raise AttributeError(f"cannot assign to field {name!r} of a ValidationReport")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.passed, self.violations) == (other.passed, other.violations)
+
+    def __hash__(self) -> int:
+        return hash((self.passed, self.violations))
+
+    def __repr__(self) -> str:
+        return f"ValidationReport(passed={self.passed!r}, violations={self.violations!r})"
 
 
 @dataclass(frozen=True, eq=False)

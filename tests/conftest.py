@@ -55,6 +55,26 @@ def triangle_chain(count):
     return Graph(2 * count + 1, tuple(edges))
 
 
+def as_networkx(nx, g):
+    """``g`` as a simple networkx graph: loops dropped, parallel edges merged."""
+    reference = nx.Graph()
+    reference.add_nodes_from(range(1, g.n + 1))
+    reference.add_edges_from((u, v) for u, v, _ in g.edges if u != v)
+    return reference
+
+
+def assert_blocks_match_networkx(g):
+    """The blocks and cut vertices of the block-cut tree are those networkx finds."""
+    from cutmetrics.graph import _block_cut_tree
+
+    nx = pytest.importorskip("networkx")
+    reference = as_networkx(nx, g)
+    tree = _block_cut_tree(g)
+    blocks = sorted(sorted(block.tolist()) for block in tree.blocks)
+    assert blocks == sorted(sorted(v - 1 for v in b) for b in nx.biconnected_components(reference)), g
+    assert (tree.cut_vertices + 1).tolist() == sorted(nx.articulation_points(reference)), g
+
+
 NAMED = {
     "p2": p2,
     "p3": p3,

@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from cutmetrics import DistanceMatrix, adjacency_matrix, check_metric_axioms, spectral_data
+from cutmetrics import cli, distances, graph, measures
 from cutmetrics.cli import _validate_json, main
-from cutmetrics.types import Violation
+from cutmetrics.types import ValidationReport, Violation
 
 from conftest import triangle_chain
 
@@ -170,7 +171,24 @@ class TestValidate:
         ]
         for violations in (found, found[:1], []):
             expected = json.dumps({**payload, "violations": [vars(v) for v in violations]}, indent=2)
-            assert _validate_json(payload, violations) == expected
+            assert _validate_json(payload, [ValidationReport(not violations, tuple(violations))]) == expected
+
+    def test_json_writer_joins_reports_in_order(self):
+        payload = {"command": "validate", "metric": "shortest", "params": {}, "passed": False}
+        first = (Violation(1, 1, 1, 0.5, 0.0, True), Violation(1, 2, 1, -1.0, 0.0, False))
+        second = (Violation(3, 2, 1, 2.0, 1e300 * 10, False),)
+        reports = [ValidationReport(False, first), ValidationReport(True), ValidationReport(False, second)]
+        expected = json.dumps({**payload, "violations": [vars(v) for v in first + second]}, indent=2)
+        assert _validate_json(payload, reports) == expected
+
+    def test_one_label_pass_per_validate(self, graph_file, monkeypatch):
+        calls = []
+        original = graph.separation_labels
+        for module in (graph, measures, distances, cli):
+            if hasattr(module, "separation_labels"):
+                monkeypatch.setattr(module, "separation_labels", lambda g: calls.append(g) or original(g))
+        assert main(["validate", "--input", graph_file(DIAMOND_FILE), "--metric", "forest"]) == 0
+        assert len(calls) == 1
 
     def test_walk_on_triangle_chain_passes(self, graph_file):
         g = triangle_chain(20)

@@ -1,4 +1,5 @@
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -22,11 +23,14 @@ from cutmetrics import (
     reliability_distance,
     rescaled_long_walk_distance,
     resistance_distance,
+    separation_labels,
     shortest_path_lengths,
     spectral_data,
     walk_distance,
     walk_matrix,
 )
+from cutmetrics import distances
+from cutmetrics.types import ValidationReport, Violation
 
 from conftest import c4, clique_edges, complete, diamond, k3, p2, p3, p4, path_edges, star4
 
@@ -207,7 +211,46 @@ class TestRescaledLongWalk:
         assert rescaled_long_walk_distance(g).value(2, 3) == pytest.approx(factor * plain, rel=1e-12)
 
 
+def _exact(report):
+    return report.passed, [(v.i, v.j, v.k, v.lhs.hex(), v.rhs.hex(), v.expected_equal) for v in report.violations]
+
+
+def _spoiled(g, seed):
+    """The forest distance spoiled in every way the axioms check: symmetric
+    noise breaks the triangle inequality, asymmetric noise symmetry, a
+    shifted diagonal the zero diagonal, and a shift down positivity."""
+    d = forest_distance(g).values
+    noise = np.random.default_rng(seed).uniform(0.5, 1.5, d.shape)
+    return [
+        DistanceMatrix(d * (noise + noise.T) / 2.0, "noisy"),
+        DistanceMatrix(d * noise + 0.3 * np.eye(g.n), "asymmetric"),
+        DistanceMatrix(d * noise - np.median(d), "shifted"),
+    ]
+
+
 class TestCheckMetricAxioms:
+    def test_pair_checks_match_scalar_loop(self, corpus):
+        # The scalar loop the diagonal, symmetry and positivity checks were
+        # vectorized from: diagonal entries first, then each pair i < j in
+        # row-major order, its symmetry failure before its positivity failure.
+        tol, floor = 1e-9, 1e-12
+        kinds = set()
+        for seed, g in enumerate(corpus):
+            for d in _spoiled(g, seed):
+                v = d.values
+                expected = [(i, i, i, v[i - 1, i - 1], 0.0, True) for i in range(1, g.n + 1) if abs(v[i - 1, i - 1]) > floor]
+                for i in range(1, g.n + 1):
+                    for j in range(i + 1, g.n + 1):
+                        a, b = float(v[i - 1, j - 1]), float(v[j - 1, i - 1])
+                        if abs(a - b) > tol * max(abs(a), abs(b)) + floor:
+                            expected.append((i, j, i, a, b, True))
+                        if not a > 0.0:
+                            expected.append((i, j, i, a, 0.0, False))
+                found = [astuple(x) for x in check_metric_axioms(d, tol).violations if len({x.i, x.j, x.k}) < 3]
+                assert found == expected
+                kinds.update((x[0] == x[1], x[5]) for x in found)
+        assert kinds == {(True, True), (False, True), (False, False)}
+
     def test_walk_distance_passes(self, small_corpus):
         for g in small_corpus[:10]:
             rho = spectral_data(adjacency_matrix(g)).rho
@@ -301,3 +344,51 @@ class TestNormalizeDistances:
         zero = DistanceMatrix(np.zeros((4, 4)), "candidate")
         with pytest.raises(ParameterError):
             normalize_distances(zero, self.PAIRS, 3.0)
+
+
+class TestMergedDistancePass:
+    def test_reports_equal_the_public_checkers(self, corpus):
+        for seed, g in enumerate(corpus):
+            labels = separation_labels(g)
+            for d in (forest_distance(g), shortest_path_lengths(g), resistance_distance(g), *_spoiled(g, seed)):
+                axioms, additivity = distances._distance_reports(g, d, labels, 1e-9)
+                assert _exact(axioms) == _exact(check_metric_axioms(d, 1e-9))
+                assert _exact(additivity) == _exact(check_cutpoint_additivity(g, d, 1e-9))
+
+    def test_order_mismatch_rejected(self):
+        with pytest.raises(ParameterError):
+            distances._distance_reports(p3(), forest_distance(p4()), separation_labels(p3()), 1e-9)
+
+
+class TestValidationReport:
+    def test_lazy_violations_equal_eager(self, corpus):
+        # The first 30 corpus graphs are trees, where shortest path passes.
+        assert not all(check_cutpoint_additivity(g, shortest_path_lengths(g)).passed for g in corpus)
+        for g in corpus:
+            lazy = check_cutpoint_additivity(g, shortest_path_lengths(g))
+            triples, lhs, rhs, expected = lazy._table()
+            eager = ValidationReport(
+                lazy.passed,
+                tuple(
+                    Violation(int(i), int(j), int(k), float(a), float(b), bool(e))
+                    for (i, j, k), a, b, e in zip(triples, lhs, rhs, expected)
+                ),
+            )
+            assert lazy.violations == eager.violations
+            assert (lazy == eager, hash(lazy), repr(lazy)) == (True, hash(eager), repr(eager))
+            for v in lazy.violations:
+                assert (type(v.i), type(v.lhs), type(v.rhs), type(v.expected_equal)) == (int, float, float, bool)
+            for built, stored in zip(eager._table(), lazy._table()):
+                assert built.dtype == stored.dtype and np.array_equal(built, stored)
+            assert lazy.passed == (lazy.violations == ())
+
+    def test_passing_check_has_empty_tuple(self):
+        report = check_cutpoint_additivity(p4(), forest_distance(p4()))
+        assert report.passed and report.violations == () and report == ValidationReport(True)
+
+    def test_immutable_and_consistent(self):
+        report = check_cutpoint_additivity(c4(), shortest_path_lengths(c4()))
+        with pytest.raises(AttributeError):
+            report.passed = True
+        with pytest.raises(ValueError):
+            ValidationReport(True, report.violations)

@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -12,9 +14,9 @@ from cutmetrics import (
     separation_labels,
     shortest_path_lengths,
 )
-from cutmetrics.graph import cutpoint_table
+from cutmetrics.graph import _block_cut_tree, cutpoint_table
 
-from conftest import k3, p2, p3, p4
+from conftest import as_networkx, assert_blocks_match_networkx, k3, p2, p3, p4
 
 
 class TestParseGraph:
@@ -160,12 +162,32 @@ class TestSeparationLabels:
                     for k in range(1, g.n + 1):
                         assert table[j][i][k] == is_cutpoint_between(g, j, i, k)
 
+    def test_matches_is_cutpoint_between(self, corpus):
+        # Vertices share a label in row j exactly when j does not separate
+        # them; labels are numbered by the first vertex that takes them.
+        # The path 5-3-1-4-2 has depth-first search meet vertex 3 before 4
+        # from vertex 1, while 4 shares its component of G minus 1 with 2.
+        path = Graph(5, ((1, 3, 1.0), (3, 5, 1.0), (1, 4, 1.0), (4, 2, 1.0)))
+        for g in [path, *corpus]:
+            expected = []
+            for j in range(1, g.n + 1):
+                row, firsts = [], []
+                for v in range(1, g.n + 1):
+                    same = [label for label, u in enumerate(firsts) if not is_cutpoint_between(g, j, u, v)]
+                    if v == j:
+                        row.append(-1)
+                    elif same:
+                        row.append(same[0])
+                    else:
+                        row.append(len(firsts))
+                        firsts.append(v)
+                expected.append(row)
+            assert separation_labels(g).tolist() == expected, g
+
     def test_matches_networkx_on_corpus(self, corpus):
         nx = pytest.importorskip("networkx")
         for g in corpus:
-            reference = nx.Graph()
-            reference.add_nodes_from(range(1, g.n + 1))
-            reference.add_edges_from((u, v) for u, v, _ in g.edges if u != v)
+            reference = as_networkx(nx, g)
             labels = separation_labels(g)
             counts = [len(set(row.tolist()) - {-1}) for row in labels]
             for j in range(1, g.n + 1):
@@ -173,6 +195,29 @@ class TestSeparationLabels:
                 assert counts[j - 1] == nx.number_connected_components(rest), (g, j)
             articulation = {j for j in range(1, g.n + 1) if counts[j - 1] > 1}
             assert articulation == set(nx.articulation_points(reference)), g
+
+
+class TestBlockCutTree:
+    def test_matches_networkx_on_corpus(self, corpus):
+        for g in corpus:
+            assert_blocks_match_networkx(g)
+
+    def test_branches_are_the_components_cut_off_by_the_head(self, small_corpus):
+        for g in small_corpus:
+            tree = _block_cut_tree(g)
+            labels = separation_labels(g)
+            for block, (start, stop) in zip(tree.blocks, tree.spans):
+                branch = tree.order[start:stop]
+                assert block[0] not in branch and block[1] in branch
+                row = labels[block[0]]
+                assert len(set(row[branch])) == 1 and not set(row[branch]) & set(np.delete(row, branch))
+
+    def test_long_path_needs_no_recursion(self):
+        n = 20_000
+        assert sys.getrecursionlimit() < n
+        tree = _block_cut_tree(Graph(n, tuple((v, v + 1, 1.0) for v in range(1, n))))
+        assert sorted(sorted(block.tolist()) for block in tree.blocks) == [[v, v + 1] for v in range(n - 1)]
+        assert tree.cut_vertices.tolist() == list(range(1, n - 1))
 
 
 class TestShortestPath:

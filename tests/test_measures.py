@@ -72,6 +72,23 @@ class TestPathAccessibility:
                         expected = expected + tau**length * groups[length]
                     assert float(s[i - 1, j - 1]) == expected
 
+    def test_length_buckets_summed_as_a_scalar_loop(self, corpus):
+        # The scalar loop the sum was vectorized from: each entry adds its
+        # nonzero buckets by ascending length.  The first 30 corpus graphs
+        # are trees, with one bucket per pair, so the graphs with cycles
+        # are the ones that tell summation orders apart.
+        tau = 0.4
+        for g in corpus[30:60]:
+            weights = measures._path_length_weights(g)
+            s = path_accessibility(g, tau).matrix
+            for a in range(g.n):
+                for b in range(g.n):
+                    value = 0.0
+                    for length in range(g.n):
+                        if weights[length][a][b] != 0.0:
+                            value = value + tau**length * float(weights[length][a][b])
+                    assert float(s[a, b]) == value
+
     def test_traversals_agree_on_path_sets(self, corpus):
         for g in corpus[:8]:
             for i in range(1, g.n + 1):

@@ -27,6 +27,10 @@ from cutmetrics import (  # noqa: E402
     walk_matrix,
 )
 
+from cutmetrics.graph import _block_cut_tree  # noqa: E402
+
+from conftest import assert_blocks_match_networkx  # noqa: E402
+
 PROPERTY_SETTINGS = settings(max_examples=25, deadline=None, derandomize=True)
 
 
@@ -96,19 +100,25 @@ def test_relabeling_permutes_reports(g, data):
         assert _as_tuples(new) == _mapped(old, perm)
 
 
-@PROPERTY_SETTINGS
-@given(left=connected_graphs(max_n=4), right=connected_graphs(max_n=4), data=st.data())
-def test_gluing_at_a_vertex_makes_it_separate_and_all_families_additive(left, right, data):
-    a = data.draw(st.integers(1, left.n))
-    b = data.draw(st.integers(1, right.n))
+@st.composite
+def glued_graphs(draw):
+    """``(g, a, left_side, right_side)``: two connected graphs glued at the
+    vertex ``a``, and the vertices of each side apart from ``a``."""
+    left, right = draw(connected_graphs(max_n=4)), draw(connected_graphs(max_n=4))
+    a = draw(st.integers(1, left.n))
+    b = draw(st.integers(1, right.n))
     # Right-hand vertex b becomes a; the others follow the left vertices.
     others = [v for v in range(1, right.n + 1) if v != b]
     new_id = {b: a, **{v: left.n + 1 + idx for idx, v in enumerate(others)}}
     g = Graph(left.n + len(others), left.edges + tuple((new_id[u], new_id[v], w) for u, v, w in right.edges))
+    return g, a, [v for v in range(1, left.n + 1) if v != a], [new_id[v] for v in others]
 
+
+@PROPERTY_SETTINGS
+@given(glued=glued_graphs())
+def test_gluing_at_a_vertex_makes_it_separate_and_all_families_additive(glued):
+    g, a, left_side, right_side = glued
     side = separation_labels(g)[a - 1]
-    left_side = [v for v in range(1, left.n + 1) if v != a]
-    right_side = [new_id[v] for v in others]
     assert not set(side[[v - 1 for v in left_side]]) & set(side[[v - 1 for v in right_side]])
     for i in left_side:
         for k in right_side:
@@ -124,3 +134,12 @@ def test_gluing_at_a_vertex_makes_it_separate_and_all_families_additive(left, ri
     for name, measure in families.items():
         report = check_cutpoint_additivity(g, log_distance(measure))
         assert report.passed, (name, report.violations[:3])
+
+
+@PROPERTY_SETTINGS
+@given(glued=glued_graphs())
+def test_block_cut_tree_matches_networkx_on_glued_graphs(glued):
+    g, a, left_side, right_side = glued
+    assert_blocks_match_networkx(g)
+    if left_side and right_side:
+        assert a - 1 in _block_cut_tree(g).cut_vertices
