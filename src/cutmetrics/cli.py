@@ -15,6 +15,7 @@ Exit codes: 0 success, 1 input/usage errors (and failed validation),
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -305,7 +306,9 @@ def _cmd_figure(args: argparse.Namespace) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once: parsing leaves no state in it."""
     parser = argparse.ArgumentParser(
         prog="cutmetrics",
         description="Graph distances on connected weighted multigraphs, with structural validation.",

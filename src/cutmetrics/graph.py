@@ -131,14 +131,14 @@ def parse_graph(text: str) -> Graph:
 def adjacency_matrix(g: Graph) -> np.ndarray:
     """Symmetric weighted adjacency matrix; parallel weights are summed,
     loop weights land on the diagonal."""
-    a = np.zeros((g.n, g.n))
-    for u, v, w in g.edges:
-        if u == v:
-            a[u - 1, u - 1] += w
-        else:
-            a[u - 1, v - 1] += w
-            a[v - 1, u - 1] += w
-    return a
+    u, v, w = (np.array(column) for column in zip(*g.edges))
+    # Both ends of every edge in edge order, a loop's once.  bincount adds
+    # in input order, so each entry rounds as in a loop over the edges.
+    ends = np.column_stack((u, v)).ravel() - 1
+    cells = ends * g.n + np.column_stack((v, u)).ravel() - 1
+    keep = np.ones(len(cells), dtype=bool)
+    keep[1::2] = u != v
+    return np.bincount(cells[keep], np.repeat(w, 2)[keep], g.n * g.n).reshape(g.n, g.n)
 
 
 def laplacian(g: Graph) -> np.ndarray:
@@ -276,6 +276,6 @@ def shortest_path_lengths(g: Graph) -> DistanceMatrix:
     adj = g.neighbor_sets()
     values = np.zeros((g.n, g.n))
     for s in range(1, g.n + 1):
-        for v, d in _bfs(adj, s).items():
-            values[s - 1, v - 1] = float(d)
+        hops = _bfs(adj, s)
+        values[s - 1, np.fromiter(hops, int, len(hops)) - 1] = np.fromiter(hops.values(), float, len(hops))
     return DistanceMatrix(values, "shortest")

@@ -224,8 +224,26 @@ def forest_matrix(g: Graph, t: float = 1.0) -> TransitionalMeasure:
 
 
 def walk_matrix(g: Graph, t: float) -> TransitionalMeasure:
-    """Walk-weight matrix ``(I - tA)^-1`` for ``0 < t < 1/rho``."""
+    """Walk-weight matrix ``(I - tA)^-1`` for ``0 < t < 1/rho``.
+
+    For ``t > 0``, ``I - tA`` is positive definite exactly when
+    ``t < 1/rho``, so its Cholesky factor proves the bound and gives the
+    inverse.  The spectral radius is computed only when the factorization
+    or the condition check refuses, to tell a bad ``t`` from a
+    near-singular system.
+    """
     a = adjacency_matrix(g)
+    # rho >= max(A), so a larger t fails the bound and t * A cannot overflow.
+    if 0.0 < t < 1.0 / a.max():
+        system = np.eye(g.n) - t * a
+        factor = linalg._cholesky(system)
+        if factor is not None:
+            try:
+                r = linalg._invert(system, factor)
+            except NumericError:  # near-singular: rho below tells a bad t from a bad system
+                pass
+            else:
+                return TransitionalMeasure("walk", r, {"t": t})
     rho = linalg._spectral_radius(a)
     if not 0.0 < t < 1.0 / rho:
         raise ParameterError(f"walk parameter must satisfy 0 < t < 1/rho = {1.0 / rho:.12g}, got {t}")

@@ -109,6 +109,25 @@ def random_multigraph(rng: np.random.Generator, tree_only: bool = False) -> Grap
     return Graph(n, tuple(edges))
 
 
+def sized_multigraph(rng: np.random.Generator, n: int, chords: int) -> Graph:
+    """Random connected weighted multigraph of order ``n``: a random tree,
+    ``chords`` extra edges, a few edges repeated in both orientations, and
+    a few loops, weights in [0.3, 1]."""
+    edges = [(int(rng.integers(1, v)), v, _weight(rng)) for v in range(2, n + 1)]
+    for _ in range(chords):
+        u, v = (int(x) for x in rng.integers(1, n + 1, size=2))
+        if u != v:
+            edges.append((u, v, _weight(rng)))
+    for _ in range(3):
+        u, v, _ = edges[int(rng.integers(0, len(edges)))]
+        edges.append((u, v, _weight(rng)))
+        edges.append((v, u, _weight(rng)))
+        x = int(rng.integers(1, n + 1))
+        edges.append((x, x, _weight(rng)))
+    rng.shuffle(edges)
+    return Graph(n, tuple(edges))
+
+
 def _weight(rng: np.random.Generator) -> float:
     return float(rng.uniform(0.3, 1.0))
 

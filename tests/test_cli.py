@@ -290,3 +290,39 @@ class TestFigure:
 
     def test_too_small_graph_rejected(self, graph_file):
         assert main(["figure", "--input", graph_file(P2_FILE), "--metric", "shortest"]) == 2
+
+
+class TestParser:
+    def test_many_calls_build_one_parser(self, graph_file, capsys):
+        cli._build_parser.cache_clear()
+        path = graph_file(P4_FILE)
+        for _ in range(5):
+            assert main(["compute", "--input", path, "--metric", "shortest"]) == 0
+        main(["compare", "--input", path])
+        assert cli._build_parser.cache_info().misses == 1
+
+    def test_calls_leave_no_state_behind(self, graph_file, capsys):
+        path = graph_file(P4_FILE)
+        calls = {
+            "two metrics": ["compute", "--input", path, "--metric", "forest", "--metric", "shortest"],
+            "no metric": ["compare", "--input", path],  # usage error from the handler
+            "unknown option": ["validate", "--input", path, "--bogus"],  # usage error from argparse
+            "json": ["validate", "--input", path, "--metric", "shortest", "--json"],
+        }
+
+        def run(argv):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            return code, capsys.readouterr()
+
+        first = {}
+        for name, argv in calls.items():
+            cli._build_parser.cache_clear()
+            first[name] = run(argv)
+        for earlier in calls:
+            for later in calls:
+                if earlier != later:
+                    run(calls[earlier])
+                    assert run(calls[later]) == first[later], (earlier, later)

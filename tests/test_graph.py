@@ -14,9 +14,9 @@ from cutmetrics import (
     separation_labels,
     shortest_path_lengths,
 )
-from cutmetrics.graph import _block_cut_tree, cutpoint_table
+from cutmetrics.graph import _bfs, _block_cut_tree, cutpoint_table
 
-from conftest import as_networkx, assert_blocks_match_networkx, k3, p2, p3, p4
+from conftest import as_networkx, assert_blocks_match_networkx, k3, p2, p3, p4, sized_multigraph
 
 
 class TestParseGraph:
@@ -93,6 +93,24 @@ class TestMatrices:
             assert np.array_equal(a, a.T)
             assert np.all(a >= 0)
             assert np.abs(laplacian(g).sum(axis=1)).max() <= 1e-12
+
+    def test_adjacency_bit_identical_to_scalar_loop(self, corpus):
+        def scalar_adjacency(g):
+            a = np.zeros((g.n, g.n))
+            for u, v, w in g.edges:
+                if u == v:
+                    a[u - 1, u - 1] += w
+                else:
+                    a[u - 1, v - 1] += w
+                    a[v - 1, u - 1] += w
+            return a
+
+        rng = np.random.default_rng(41)
+        # Few vertices and many edges give long runs of parallel edges, in
+        # both orientations, whose sums round differently in another order.
+        graphs = corpus + [sized_multigraph(rng, n, chords) for n in (3, 5, 40, 200) for chords in (n, 8 * n)]
+        for g in graphs:
+            assert adjacency_matrix(g).tobytes() == scalar_adjacency(g).tobytes(), g
 
 
 class TestCutpointOracle:
@@ -235,6 +253,20 @@ class TestShortestPath:
     def test_metric_axioms_exact_on_corpus(self, small_corpus):
         for g in small_corpus:
             assert check_metric_axioms(shortest_path_lengths(g), tol=0.0).passed
+
+    def test_bit_identical_to_scalar_stores(self, corpus):
+        def scalar_lengths(g):
+            adj = g.neighbor_sets()
+            values = np.zeros((g.n, g.n))
+            for s in range(1, g.n + 1):
+                for v, d in _bfs(adj, s).items():
+                    values[s - 1, v - 1] = float(d)
+            return values
+
+        rng = np.random.default_rng(43)
+        chain = Graph(64, tuple((v, v + 1, 1.0) for v in range(1, 64)))
+        for g in corpus + [chain, sized_multigraph(rng, 120, 30)]:
+            assert shortest_path_lengths(g).values.tobytes() == scalar_lengths(g).tobytes(), g
 
 
 class TestGraphConstruction:

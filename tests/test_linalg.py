@@ -13,7 +13,7 @@ from cutmetrics import (
     symmetric_pseudoinverse,
 )
 
-from conftest import clique_edges, k3, p2, p3, p4, path_edges
+from conftest import clique_edges, k3, p2, p3, p4, path_edges, sized_multigraph
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -58,6 +58,55 @@ class TestInvert:
     def test_non_square_rejected(self):
         with pytest.raises(ParameterError):
             invert(np.ones((2, 3)))
+
+
+def _positive_definite_systems(n):
+    """The forest ``I + tL``, walk ``I - tA`` and resistance ``L + 11^T/n``
+    systems of a random multigraph of order ``n``."""
+    g = sized_multigraph(np.random.default_rng([5, n]), n, n)
+    a, lap = adjacency_matrix(g), laplacian(g)
+    rho = np.linalg.eigvalsh(a)[-1]
+    return {"forest": np.eye(n) + 0.7 * lap, "walk": np.eye(n) - (0.5 / rho) * a, "resistance": lap + 1.0 / n}
+
+
+class TestCholeskyRoute:
+    @pytest.mark.parametrize("n", [63, 64, 65, 127, 129, 200])
+    def test_agrees_with_lu(self, n):
+        for name, m in _positive_definite_systems(n).items():
+            expected = np.linalg.inv(m)
+            got = invert(m)
+            if n <= 64:
+                assert got.tobytes() == expected.tobytes(), name
+            else:
+                assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max(), name
+                assert np.array_equal(got, got.T), name  # X^T X, where LU is not exactly symmetric
+
+    def test_symmetric_indefinite_goes_through_lu(self):
+        rng = np.random.default_rng(3)
+        noise = rng.normal(scale=0.1, size=(100, 100))
+        m = np.diag(np.repeat([1.0, -1.0], 50)) + noise + noise.T
+        assert invert(m).tobytes() == np.linalg.inv(m).tobytes()
+
+    def test_asymmetric_goes_through_lu(self):
+        m = _positive_definite_systems(100)["forest"]
+        m[0, 1] += 1e-3
+        assert invert(m).tobytes() == np.linalg.inv(m).tobytes()
+
+    def test_exactly_singular_symmetric_raises(self):
+        with pytest.raises(NumericError, match="singular matrix: zero pivot"):
+            invert(np.ones((100, 100)))
+
+    @pytest.mark.parametrize("shift", [0.0, 1e-14])
+    def test_near_singular_symmetric_raises(self, shift):
+        g = sized_multigraph(np.random.default_rng(9), 100, 100)
+        with pytest.raises(NumericError, match="near-singular: condition estimate"):
+            invert(laplacian(g) + shift)
+
+    def test_path_800_pseudoinverse_meets_contract(self):
+        g = Graph(800, tuple(path_edges(range(1, 801))))
+        lp = symmetric_pseudoinverse(laplacian(g), np.ones(800))  # raises if the contract fails
+        # The end-to-end resistance of a unit path is its length.
+        assert lp[0, 0] - 2.0 * lp[0, 799] + lp[799, 799] == pytest.approx(799.0, rel=1e-9)
 
 
 class TestDeterminant:

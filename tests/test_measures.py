@@ -20,10 +20,10 @@ from cutmetrics import (
     validate_transitional_measure,
     walk_matrix,
 )
-from cutmetrics import measures
+from cutmetrics import distances, linalg, measures
 from cutmetrics.measures import _simple_path_edge_ids
 
-from conftest import complete, k3, p2, p3, triangle_chain
+from conftest import complete, k3, p2, p3, sized_multigraph, triangle_chain
 
 
 class TestPathAccessibility:
@@ -193,6 +193,50 @@ class TestWalkMatrix:
         for g in small_corpus[:10]:
             rho = spectral_data(adjacency_matrix(g)).rho
             assert np.all(walk_matrix(g, 0.5 / rho).matrix > 0)
+
+
+def _walk_graphs():
+    """Walk test graphs on both sides of the Cholesky route's order 64."""
+    rng = np.random.default_rng(17)
+    return [sized_multigraph(rng, 12, 12), triangle_chain(31), triangle_chain(40), sized_multigraph(rng, 130, 130)]
+
+
+class TestWalkBound:
+    @pytest.mark.parametrize("call", [walk_matrix, distances.walk_distance], ids=["walk_matrix", "walk_distance"])
+    @pytest.mark.parametrize("scale", [0.0, -1.0, 1.0 - 1e-12, 1.0, 1.0 + 1e-12, 2.0])
+    def test_refusals_unchanged(self, call, scale):
+        for g in _walk_graphs():
+            rho = linalg._spectral_radius(adjacency_matrix(g))
+            t = scale / rho if scale > 0.0 else scale
+            if scale == 1.0 - 1e-12:
+                with pytest.raises(NumericError, match="near-singular: condition estimate"):
+                    call(g, t)
+            else:
+                message = f"walk parameter must satisfy 0 < t < 1/rho = {1.0 / rho:.12g}, got {t}"
+                with pytest.raises(ParameterError) as caught:
+                    call(g, t)
+                assert str(caught.value) == message
+
+    def test_valid_t_computes_no_spectral_radius(self, monkeypatch):
+        graphs = _walk_graphs()
+        radii = [linalg._spectral_radius(adjacency_matrix(g)) for g in graphs]
+        calls = []
+        monkeypatch.setattr(linalg, "_spectral_radius", lambda a: calls.append(a))
+        for g, rho in zip(graphs, radii):
+            for scale in (0.5, 1.0 - 1e-6):
+                walk_matrix(g, scale / rho)
+                distances.walk_distance(g, scale / rho)
+        assert calls == []
+
+    def test_small_orders_unchanged_and_large_exactly_symmetric(self):
+        for g in _walk_graphs():
+            a = adjacency_matrix(g)
+            t = 0.5 / linalg._spectral_radius(a)
+            r = walk_matrix(g, t).matrix
+            if g.n <= 64:
+                assert r.tobytes() == np.linalg.inv(np.eye(g.n) - t * a).tobytes()
+            else:
+                assert np.array_equal(r, r.T)
 
 
 class TestValidateTransitionalMeasure:
