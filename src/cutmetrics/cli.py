@@ -39,6 +39,7 @@ METRIC_NAMES = (
     "longwalk",
     "longwalk-rescaled",
 )
+METRIC_PARAMS = {"path": {"tau"}, "forest": {"t"}, "walk": {"t"}}  # the inline keys each metric reads
 DEFAULT_PAIRS = "1-2,2-3,3-4"
 DEFAULT_TARGET = 3.0
 
@@ -71,6 +72,9 @@ def _parse_metric_specs(raw: list[str] | None, tau: float | None, t: float | Non
                         raise ParameterError(f"non-numeric metric parameter {item!r} in {spec!r}") from None
             if name not in METRIC_NAMES:
                 raise ParameterError(f"unknown metric {name!r}; choose from {', '.join(METRIC_NAMES)}")
+            unread = sorted(params.keys() - METRIC_PARAMS.get(name, set()))
+            if unread:
+                raise ParameterError(f"metric {name!r} takes no parameter {unread[0]!r} in {spec!r}")
             if "tau" not in params and tau is not None:
                 params["tau"] = tau
             if "t" not in params and t is not None:

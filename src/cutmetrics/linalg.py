@@ -21,7 +21,7 @@ __all__ = ["invert", "determinant", "spectral_data", "symmetric_pseudoinverse"]
 CONDITION_LIMIT = 1e12
 EIGEN_RESIDUAL_RTOL = 1e-12
 LOG_FLOAT_MAX = float(np.log(np.finfo(float).max))
-_LEAF = 64  # order up to which matrices and triangular blocks are inverted by LU
+_LEAF = 64  # order up to which triangular blocks are inverted by LU
 
 
 def _as_square(m) -> np.ndarray:
@@ -60,20 +60,18 @@ def determinant(m) -> float:
 def invert(m) -> np.ndarray:
     """Matrix inverse, by one of two LAPACK routes.
 
-    Exactly symmetric input of order above 64 is tried with a Cholesky
-    factorization ``C C^T`` (``numpy.linalg.cholesky``); if it is positive
-    definite, the inverse is ``X^T X`` with ``X = C^-1``: exactly
-    symmetric, backward stable (Du Croz & Higham, IMA J. Numer. Anal. 12,
-    1992), and about 1.5 times faster than LU from order 400 up.  Every other matrix, and one the factorization refuses, is
-    inverted by ``numpy.linalg.inv`` (LU), so up to order 64 the result is
-    exactly that of LU.
+    Exactly symmetric input is tried with a Cholesky factorization
+    ``C C^T`` (``numpy.linalg.cholesky``); if it is positive definite, the
+    inverse is ``X^T X`` with ``X = C^-1``: exactly symmetric, backward
+    stable (Du Croz & Higham, IMA J. Numer. Anal. 12, 1992), and about 1.5
+    times faster than LU from order 400 up.  Every other matrix, and one
+    the factorization refuses, is inverted by ``numpy.linalg.inv`` (LU).
 
     Raises :class:`NumericError` when LAPACK finds an exactly singular
     pivot or the 1-norm condition estimate is not below ``CONDITION_LIMIT``.
     """
     a = _as_square(m)
-    factor = _cholesky(a) if len(a) > _LEAF and np.array_equal(a, a.T) else None
-    return _invert(a, factor)
+    return _invert(a, _cholesky(a) if np.array_equal(a, a.T) else None)
 
 
 def _cholesky(a: np.ndarray) -> np.ndarray | None:
@@ -87,9 +85,8 @@ def _cholesky(a: np.ndarray) -> np.ndarray | None:
 
 def _invert(a: np.ndarray, factor: np.ndarray | None) -> np.ndarray:
     """:func:`invert` of a checked square matrix: through its lower
-    Cholesky ``factor`` above order ``_LEAF``, else (or with no factor) by
-    LU."""
-    if factor is not None and len(a) > _LEAF:
+    Cholesky ``factor``, or by LU when there is none."""
+    if factor is not None:
         x = _lower_inverse(factor)
         inv = x.T @ x
     else:

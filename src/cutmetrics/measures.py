@@ -6,13 +6,15 @@ The defining property, verified by :func:`validate_transitional_measure`,
 is ``S[i,j] * S[j,k] <= S[i,k] * S[j,j]`` for all triples, with equality
 exactly when every path from ``i`` to ``k`` passes through ``j``.
 
-Path and reliability values are sums over explicit simple-path
-enumerations and therefore carry exhaustive-size caps that fail loudly.
+Path and reliability values are sums over one explicit simple-path
+enumeration, :func:`_simple_paths`, run once per source vertex, and
+therefore carry exhaustive-size caps that fail loudly.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from functools import lru_cache
 
 import numpy as np
@@ -47,6 +49,34 @@ def _sorted_adjacency(g: Graph) -> list[list[tuple[int, int, float]]]:
     return adj
 
 
+def _simple_paths(
+    g: Graph, source: int, adj: list[list[tuple[int, int, float]]] | None = None
+) -> Iterator[tuple[int, int, float, int]]:
+    """Every simple path from ``source``, depth first in
+    :func:`_sorted_adjacency` order, as ``(target, length, weight, edge
+    mask)``: the weight is the product of the edge weights along the path,
+    and bit ``e`` of the mask is set when edge instance ``e`` lies on it.
+    ``adj`` is the graph's sorted adjacency, when the caller already has it."""
+    adj = _sorted_adjacency(g) if adj is None else adj
+    on_path = [False] * (g.n + 1)
+    on_path[source] = True
+    frames = [(source, iter(adj[source]), 1.0, 0)]
+    while frames:
+        v, edges, weight, mask = frames[-1]
+        for u, idx, w in edges:
+            if not on_path[u]:
+                break
+        else:
+            on_path[v] = False
+            frames.pop()
+            continue
+        weight *= w
+        mask |= 1 << idx
+        yield u, len(frames), weight, mask
+        on_path[u] = True
+        frames.append((u, iter(adj[u]), weight, mask))
+
+
 @lru_cache(maxsize=64)
 def _path_length_weights(g: Graph) -> np.ndarray:
     """``W[l, i-1, j-1]``: total weight of the simple i-to-j paths with
@@ -58,24 +88,10 @@ def _path_length_weights(g: Graph) -> np.ndarray:
     n = g.n
     adj = _sorted_adjacency(g)
     weights = [[[0.0] * n for _ in range(n)] for _ in range(n)]
-    for source in range(1, n + 1):
-        weights[0][source - 1][source - 1] = 1.0
-        on_path = [False] * (n + 1)
-        on_path[source] = True
-        row = source - 1
-
-        def extend(v: int, depth: int, weight: float) -> None:
-            for u, idx, w in adj[v]:
-                if on_path[u]:
-                    continue
-                wt = weight * w
-                bucket = weights[depth + 1][row]
-                bucket[u - 1] = bucket[u - 1] + wt
-                on_path[u] = True
-                extend(u, depth + 1, wt)
-                on_path[u] = False
-
-        extend(source, 0, 1.0)
+    for row in range(n):
+        weights[0][row][row] = 1.0
+        for target, length, weight, _ in _simple_paths(g, row + 1, adj):
+            weights[length][row][target - 1] += weight
     array = np.array(weights)
     array.flags.writeable = False
     return array
@@ -101,42 +117,6 @@ def path_accessibility(g: Graph, tau: float, max_vertices: int = PATH_VERTEX_CAP
         if nonzero.any():
             s[nonzero] += tau**length * bucket[nonzero]
     return TransitionalMeasure("path", s, {"tau": tau})
-
-
-def _simple_path_edge_ids(
-    g: Graph, i: int, j: int, max_paths: int = PATHS_PER_PAIR_CAP
-) -> list[tuple[int, ...]]:
-    """Edge-instance id sequences of every simple i-to-j path, in
-    lexicographic order, via an explicit-stack traversal."""
-    adj = _sorted_adjacency(g)
-    found: list[tuple[int, ...]] = []
-    visited = [False] * (g.n + 1)
-    visited[i] = True
-    stack: list[list[int]] = [[i, 0]]
-    edge_trail: list[int] = []
-    while stack:
-        v, pointer = stack[-1]
-        if pointer >= len(adj[v]):
-            stack.pop()
-            if stack:
-                visited[v] = False
-                edge_trail.pop()
-            continue
-        stack[-1][1] = pointer + 1
-        u, idx, _ = adj[v][pointer]
-        if visited[u]:
-            continue
-        if u == j:
-            found.append(tuple(edge_trail) + (idx,))
-            if len(found) > max_paths:
-                raise CapExceededError(
-                    f"more than {max_paths} simple paths between {i} and {j}"
-                )
-            continue
-        visited[u] = True
-        edge_trail.append(idx)
-        stack.append([u, 0])
-    return found
 
 
 def _union_weight(mask: int, edge_weights: list[float]) -> float:
@@ -165,13 +145,20 @@ def connection_reliability(g: Graph, max_paths_per_pair: int = PATHS_PER_PAIR_CA
     edge_weights = [w for _, _, w in g.edges]
     n = g.n
     s = np.ones((n, n))
+    adj = _sorted_adjacency(g)
     for i in range(1, n + 1):
+        # One traversal from i serves every pair (i, j).  A count to j < i
+        # equals the (j, i) count, already held to the cap, so the pass
+        # stops within (n - 1) * max_paths_per_pair paths.
+        masks: list[list[int]] = [[] for _ in range(n + 1)]
+        for j, _, _, path_mask in _simple_paths(g, i, adj):
+            found = masks[j]
+            found.append(path_mask)
+            if len(found) > max_paths_per_pair:
+                raise CapExceededError(f"more than {max_paths_per_pair} simple paths between {i} and {j}")
         for j in range(i + 1, n + 1):
-            masks = [
-                _edge_mask(ids) for ids in _simple_path_edge_ids(g, i, j, max_paths_per_pair)
-            ]
             terms: dict[int, int] = {}
-            for path_mask in masks:
+            for path_mask in masks[j]:
                 updates: dict[int, int] = {path_mask: 1}
                 for mask, coeff in terms.items():
                     union = mask | path_mask
@@ -187,13 +174,6 @@ def connection_reliability(g: Graph, max_paths_per_pair: int = PATHS_PER_PAIR_CA
             )
             s[i - 1, j - 1] = s[j - 1, i - 1] = value
     return TransitionalMeasure("reliability", s)
-
-
-def _edge_mask(edge_ids: tuple[int, ...]) -> int:
-    mask = 0
-    for idx in edge_ids:
-        mask |= 1 << idx
-    return mask
 
 
 def _forest_system(g: Graph, t: float) -> np.ndarray:

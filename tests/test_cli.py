@@ -83,6 +83,18 @@ class TestCompute:
         code = main(["compute", "--input", graph_file(P2_FILE), "--metric", "sassy"])
         assert code == 2
 
+    @pytest.mark.parametrize("spec", ["forest:T=2", "forest:tau=2", "walk:tau=0.1", "path:t=0.3", "shortest:t=1"])
+    def test_unread_inline_parameter_exits_2(self, graph_file, capsys, spec):
+        code = main(["compute", "--input", graph_file(P2_FILE), "--metric", spec])
+        assert code == 2
+        key = spec.split(":")[1].split("=")[0]
+        assert f"takes no parameter {key!r}" in capsys.readouterr().err
+
+    def test_flags_still_fill_every_metric(self, graph_file, tmp_path):
+        out = str(tmp_path / "d.csv")
+        code = main(["compute", "--input", graph_file(P2_FILE), "--metric", "forest", "--tau", "2", "--t", "0.5", "--output", out])
+        assert code == 0
+
     def test_round_trip_passes_metric_axioms(self, graph_file, tmp_path):
         for metric, extra in (
             ("shortest", []),

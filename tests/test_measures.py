@@ -21,9 +21,9 @@ from cutmetrics import (
     walk_matrix,
 )
 from cutmetrics import distances, linalg, measures
-from cutmetrics.measures import _simple_path_edge_ids
+from cutmetrics.measures import _simple_paths
 
-from conftest import complete, k3, p2, p3, sized_multigraph, triangle_chain
+from conftest import clique_edges, complete, k3, p2, p3, sized_multigraph, triangle_chain
 
 
 class TestPathAccessibility:
@@ -90,12 +90,16 @@ class TestPathAccessibility:
                     assert float(s[a, b]) == value
 
     def test_traversals_agree_on_path_sets(self, corpus):
+        # Both multiply the edge weights along the path, so weights are bit-equal.
         for g in corpus[:8]:
             for i in range(1, g.n + 1):
-                for j in range(i + 1, g.n + 1):
-                    assert _simple_path_edge_ids(g, i, j) == [
-                        p.edge_indices for p in enumerate_paths(g, i, j)
-                    ]
+                paths = list(_simple_paths(g, i))
+                for j in range(1, g.n + 1):
+                    if j != i:
+                        assert [p[1:] for p in paths if p[0] == j] == [
+                            (p.length, p.weight, sum(1 << e for e in p.edge_indices))
+                            for p in enumerate_paths(g, i, j)
+                        ]
 
 
 class TestConnectionReliability:
@@ -116,6 +120,14 @@ class TestConnectionReliability:
     def test_weight_above_one_rejected(self):
         with pytest.raises(ParameterError):
             connection_reliability(Graph(2, ((1, 2, 1.2),)))
+
+    def test_paths_per_pair_cap(self):
+        # K6 has 1 + 4 + 12 + 24 + 24 = 65 simple paths between any two vertices.
+        g = Graph(6, tuple(clique_edges(range(1, 7), 0.5)))
+        with pytest.raises(CapExceededError, match="more than 64 simple paths between"):
+            connection_reliability(g, max_paths_per_pair=64)
+        p = connection_reliability(g, max_paths_per_pair=65).matrix
+        assert np.all((p > 0.5) & (p <= 1.0))
 
     def test_matches_edge_state_oracle(self, small_corpus):
         for g in small_corpus[:12]:
@@ -196,7 +208,7 @@ class TestWalkMatrix:
 
 
 def _walk_graphs():
-    """Walk test graphs on both sides of the Cholesky route's order 64."""
+    """Walk test graphs on both sides of order 64, the leaf order of the triangular inverse."""
     rng = np.random.default_rng(17)
     return [sized_multigraph(rng, 12, 12), triangle_chain(31), triangle_chain(40), sized_multigraph(rng, 130, 130)]
 
@@ -228,15 +240,27 @@ class TestWalkBound:
                 distances.walk_distance(g, scale / rho)
         assert calls == []
 
-    def test_small_orders_unchanged_and_large_exactly_symmetric(self):
+    def test_agrees_with_lu_and_exactly_symmetric(self):
         for g in _walk_graphs():
             a = adjacency_matrix(g)
             t = 0.5 / linalg._spectral_radius(a)
             r = walk_matrix(g, t).matrix
-            if g.n <= 64:
-                assert r.tobytes() == np.linalg.inv(np.eye(g.n) - t * a).tobytes()
-            else:
-                assert np.array_equal(r, r.T)
+            expected = np.linalg.inv(np.eye(g.n) - t * a)
+            assert np.abs(r - expected).max() <= 1e-12 * np.abs(expected).max()
+            assert np.array_equal(r, r.T)
+
+    @pytest.mark.parametrize("k", [9, 10])
+    def test_near_radius_exactly_symmetric(self, k):
+        # The LU inverse of I - tA is asymmetric here beyond the measure's
+        # 1e-9 symmetry check; the Cholesky route is exactly symmetric.
+        chain = triangle_chain(31)
+        weights = np.random.default_rng(9).uniform(0.5, 1.5, size=len(chain.edges))
+        g = Graph(chain.n, tuple((u, v, float(w)) for (u, v, _), w in zip(chain.edges, weights)))
+        t = (1.0 - 10.0**-k) / linalg._spectral_radius(adjacency_matrix(g))
+        r = walk_matrix(g, t).matrix
+        assert np.array_equal(r, r.T)
+        d = distances.walk_distance(g, t).values
+        assert np.array_equal(d, d.T)
 
 
 class TestValidateTransitionalMeasure:
