@@ -35,6 +35,9 @@ __all__ = [
 
 PATH_VERTEX_CAP = 12
 PATHS_PER_PAIR_CAP = 4096
+# Distinct edge unions kept by reliability's grouped inclusion-exclusion for
+# one pair; up to 2^m of them, so a pair with few paths can still explode.
+TERMS_PER_PAIR_CAP = 1 << 16
 
 
 def _sorted_adjacency(g: Graph) -> list[list[tuple[int, int, float]]]:
@@ -110,13 +113,25 @@ def path_accessibility(g: Graph, tau: float, max_vertices: int = PATH_VERTEX_CAP
     if g.n > max_vertices:
         raise CapExceededError(f"path enumeration capped at {max_vertices} vertices, graph has {g.n}")
     s = np.zeros((g.n, g.n))
-    # Each entry sums its nonzero buckets by ascending length, one rounding
-    # per term, so the result does not depend on how the sum is vectorized.
-    for length, bucket in enumerate(_path_length_weights(g)):
-        nonzero = bucket != 0.0
-        if nonzero.any():
-            s[nonzero] += tau**length * bucket[nonzero]
+    # Each entry sums its buckets by ascending length, one rounding per
+    # term; a zero term adds an exact +0.0, so the result equals the sum of
+    # the nonzero buckets alone.  All-zero buckets are skipped.
+    with np.errstate(over="ignore"):  # an overflowing entry is refused as non-finite below
+        for length, bucket in enumerate(_path_length_weights(g)):
+            if bucket.any():
+                s += _discount(tau, length) * bucket
     return TransitionalMeasure("path", s, {"tau": tau})
+
+
+def _discount(tau: float, length: int) -> float:
+    """``tau**length`` as a finite float, or :class:`NumericError`."""
+    try:
+        scale = float(tau) ** length
+    except OverflowError:
+        scale = math.inf
+    if not math.isfinite(scale):
+        raise NumericError(f"path discount tau**{length} overflows a float at tau={tau}")
+    return scale
 
 
 def _union_weight(mask: int, edge_weights: list[float]) -> float:
@@ -137,7 +152,9 @@ def connection_reliability(g: Graph, max_paths_per_pair: int = PATHS_PER_PAIR_CA
     every subset of paths contributes the signed product of the weights of
     the union of its edge sets.  Terms are grouped by identical union
     before summation, which keeps the expansion tractable on sparse
-    graphs; the grouped coefficients are exact integers.
+    graphs; the grouped coefficients are exact integers.  A pair whose
+    expansion passes ``TERMS_PER_PAIR_CAP`` distinct unions raises
+    :class:`CapExceededError` (K7 does; K6 peaks near 15,500).
     """
     for _, _, w in g.edges:
         if not 0.0 < w <= 1.0:
@@ -169,6 +186,10 @@ def connection_reliability(g: Graph, max_paths_per_pair: int = PATHS_PER_PAIR_CA
                         terms[mask] = merged
                     else:
                         terms.pop(mask, None)
+                if len(terms) > TERMS_PER_PAIR_CAP:
+                    raise CapExceededError(
+                        f"more than {TERMS_PER_PAIR_CAP} inclusion-exclusion terms between {i} and {j}"
+                    )
             value = math.fsum(
                 coeff * _union_weight(mask, edge_weights) for mask, coeff in terms.items()
             )
@@ -265,14 +286,21 @@ def _report(triples: np.ndarray, lhs: np.ndarray, rhs: np.ndarray, expected: np.
     return ValidationReport._from_columns(triples + 1, lhs, rhs, expected)
 
 
+def _transition_fails(gap: np.ndarray, separated: np.ndarray, tol: float) -> np.ndarray:
+    """The failure rule of the measure check on the log gaps
+    ``ln S_ik + ln S_jj - ln S_ij - ln S_jk = ln(rhs / lhs)``: the inequality
+    is broken beyond ``tol``, or equality within ``tol`` disagrees with
+    whether ``j`` separates ``i`` from ``k``."""
+    return (gap < -tol) | ((np.abs(gap) <= tol) != separated)
+
+
 def _transition_report(s: np.ndarray, labels: np.ndarray, tol: float) -> ValidationReport:
     """:func:`validate_transitional_measure` of the matrix ``s``, given the
     graph's :func:`separation_labels`."""
     h = np.log(s)
 
     def fails(kernel: np.ndarray, j: int) -> np.ndarray:
-        gap = h[j, j] - kernel  # ln S_ik + ln S_jj - ln S_ij - ln S_jk = ln(rhs / lhs)
-        return (gap < -tol) | ((np.abs(gap) <= tol) != _separated_at(labels, j))
+        return _transition_fails(h[j, j] - kernel, _separated_at(labels, j), tol)
 
     (triples,) = _gap_triples(h, [fails], distinct=False, j_major=True)
     i, j, k = triples.T
@@ -309,17 +337,30 @@ def find_tau_threshold(
     path measure still validates.
 
     Bisection between a passing and a failing sample, seeded at ``1/rho``
-    and doubled until validation fails.  The validator outcome is assumed
-    monotone in ``tau`` only heuristically, so the returned value is
-    re-validated and a failure raises instead of returning silently.
+    and doubled until validation fails.  Each sample tests every triple in
+    one vectorized pass with the failure rule of
+    :func:`validate_transitional_measure`, and builds no report.  The
+    validator outcome is assumed monotone in ``tau`` only heuristically, so
+    the returned value is re-validated and a failure raises instead of
+    returning silently.
     """
     if not precision > 0.0:
         raise ParameterError(f"precision must be positive, got {precision}")
 
     labels = separation_labels(g)
+    # separated[j, i, k]: j separates i from k.  Like the path measure's
+    # (n, n, n) length buckets, it exists only within the vertex cap; above
+    # it the first path_accessibility call raises.
+    if g.n <= max_vertices:
+        separated = labels[:, :, None] != labels[:, None, :]
+        separated[np.diag_indices(g.n, ndim=3)] = True
 
     def passes(tau: float) -> bool:
-        return _transition_report(path_accessibility(g, tau, max_vertices).matrix, labels, tol).passed
+        # The gaps of _transition_report for every pivot at once, with the
+        # same float expression order, and no report.
+        h = np.log(path_accessibility(g, tau, max_vertices).matrix)
+        gap = np.diagonal(h)[:, None, None] - ((h.T[:, :, None] + h[:, None, :]) - h)
+        return not _transition_fails(gap, separated, tol).any()
 
     start = 1.0 / linalg._spectral_radius(adjacency_matrix(g))
     if passes(start):

@@ -101,6 +101,12 @@ class ValidationReport:
         return f"ValidationReport(passed={self.passed!r}, violations={self.violations!r})"
 
 
+def _symmetric(m: np.ndarray) -> bool:
+    """``np.allclose(m, m.T, rtol=1e-9, atol=1e-12)`` for finite ``m``,
+    without its handling of infinities and NaN."""
+    return bool(np.all(np.abs(m - m.T) <= 1e-12 + 1e-9 * np.abs(m.T)))
+
+
 @dataclass(frozen=True, eq=False)
 class TransitionalMeasure:
     """A positive symmetric matrix of vertex-to-vertex accessibility values."""
@@ -117,7 +123,7 @@ class TransitionalMeasure:
             raise ValueError("measure matrix must be square")
         if not np.all(np.isfinite(m)) or not np.all(m > 0.0):
             raise NumericError(f"{self.kind} measure has non-positive or non-finite entries")
-        if not np.allclose(m, m.T, rtol=1e-9, atol=1e-12):
+        if not _symmetric(m):
             raise NumericError(f"{self.kind} measure is not symmetric")
         if self.kind in ("path", "reliability") and not np.all(np.diag(m) == 1.0):
             raise NumericError(f"{self.kind} measure must have unit diagonal")

@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -82,6 +85,12 @@ class TestCompute:
     def test_unknown_metric_exits_2(self, graph_file):
         code = main(["compute", "--input", graph_file(P2_FILE), "--metric", "sassy"])
         assert code == 2
+
+    def test_path_discount_overflow_exits_3(self, graph_file, capsys):
+        path12 = "12\n" + "".join(f"{v} {v + 1} 1\n" for v in range(1, 12))
+        code = main(["compute", "--input", graph_file(path12), "--metric", "path:tau=1e30"])
+        assert code == 3
+        assert "numeric error: path discount tau**11 overflows a float" in capsys.readouterr().err
 
     @pytest.mark.parametrize("spec", ["forest:T=2", "forest:tau=2", "walk:tau=0.1", "path:t=0.3", "shortest:t=1"])
     def test_unread_inline_parameter_exits_2(self, graph_file, capsys, spec):
@@ -302,6 +311,17 @@ class TestFigure:
 
     def test_too_small_graph_rejected(self, graph_file):
         assert main(["figure", "--input", graph_file(P2_FILE), "--metric", "shortest"]) == 2
+
+
+def test_python_dash_m_runs_the_cli(graph_file, capsys):
+    argv = ["validate", "--input", graph_file(C4_FILE), "--metric", "shortest", "--json"]
+    code = main(argv)
+    expected = capsys.readouterr().out
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    run = subprocess.run([sys.executable, "-m", "cutmetrics", *argv], capture_output=True, text=True, env=env, timeout=120)
+    assert code == 1 and "violations" in expected
+    assert (run.returncode, run.stdout) == (code, expected)
 
 
 class TestParser:

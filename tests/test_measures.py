@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -89,6 +90,31 @@ class TestPathAccessibility:
                             value = value + tau**length * float(weights[length][a][b])
                     assert float(s[a, b]) == value
 
+    def test_dense_sum_matches_masked_loop(self, corpus):
+        # The masked sum the dense one replaced: each bucket adds only at its
+        # nonzero entries.  The star's buckets of length 3 to 5 are all zero.
+        star = Graph(6, tuple((1, v, 0.5 + 0.1 * v) for v in range(2, 7)))
+        for g in [star, *corpus[::7]]:
+            for tau in (0.1, 0.4, 1.3, 1e3):
+                s = np.zeros((g.n, g.n))
+                for length, bucket in enumerate(measures._path_length_weights(g)):
+                    nonzero = bucket != 0.0
+                    if nonzero.any():
+                        s[nonzero] += tau**length * bucket[nonzero]
+                assert path_accessibility(g, tau).matrix.tobytes() == s.tobytes()
+
+    @pytest.mark.parametrize("tau", [1e30, np.float64(1e30), math.inf])
+    def test_discount_overflow_is_numeric_error(self, tau):
+        # 1e30**11 overflows a float; pytest turns any RuntimeWarning into an error.
+        g = Graph(12, tuple((v, v + 1, 1.0) for v in range(1, 12)))
+        with pytest.raises(NumericError, match="overflows a float"):
+            path_accessibility(g, tau)
+
+    def test_weighted_path_overflow_is_numeric_error(self):
+        # tau is finite, but tau * 1e300 is not.
+        with pytest.raises(NumericError, match="non-finite"):
+            path_accessibility(Graph(2, ((1, 2, 1e300),)), 1e10)
+
     def test_traversals_agree_on_path_sets(self, corpus):
         # Both multiply the edge weights along the path, so weights are bit-equal.
         for g in corpus[:8]:
@@ -128,6 +154,28 @@ class TestConnectionReliability:
             connection_reliability(g, max_paths_per_pair=64)
         p = connection_reliability(g, max_paths_per_pair=65).matrix
         assert np.all((p > 0.5) & (p <= 1.0))
+
+    def test_terms_per_pair_cap_stops_k7(self):
+        # K7 has only 326 paths per pair, but their edge unions run past the
+        # cap; uncapped, the expansion did not finish in 90 s.
+        g = Graph(7, tuple(clique_edges(range(1, 8), 0.5)))
+        start = time.perf_counter()
+        with pytest.raises(CapExceededError, match="more than 65536 inclusion-exclusion terms between 1 and 2"):
+            connection_reliability(g)
+        assert time.perf_counter() - start < 30.0
+
+    def test_k6_below_terms_cap_matches_edge_state_oracle(self):
+        # K6 peaks near 15,500 distinct unions per pair, under the cap.
+        g = Graph(6, tuple(clique_edges(range(1, 7), 0.5)))
+        p = connection_reliability(g).matrix
+        for i in range(1, 7):
+            for j in range(i + 1, 7):
+                assert p[i - 1, j - 1] == pytest.approx(reliability_by_edge_states(g, i, j), abs=1e-12)
+
+    def test_corpus_stays_below_terms_cap(self, corpus):
+        # The corpus peaks at 24 terms per pair, far from the cap.
+        for g in corpus:
+            connection_reliability(g)
 
     def test_matches_edge_state_oracle(self, small_corpus):
         for g in small_corpus[:12]:
@@ -342,6 +390,33 @@ class TestFindTauThreshold:
         find_tau_threshold(k3(), precision=1e-6)
         assert len(calls) == 1
 
+    def test_vertex_cap(self):
+        edges = tuple((v, v + 1, 1.0) for v in range(1, 13))
+        with pytest.raises(CapExceededError, match="capped at 12 vertices, graph has 13"):
+            find_tau_threshold(Graph(13, edges))
+
+    def test_builds_no_report(self, monkeypatch, small_corpus):
+        calls = []
+        original = measures._report
+        monkeypatch.setattr(measures, "_report", lambda *args: calls.append(args) or original(*args))
+        for g in small_corpus[:6]:
+            find_tau_threshold(g, precision=1e-6)
+        assert calls == []
+        validate_transitional_measure(k3(), path_accessibility(k3(), 0.5))
+        assert len(calls) == 1
+
+    def test_same_threshold_as_report_search(self, corpus):
+        # Five parallel unit edges start failing; sized multigraphs carry
+        # loops and parallel edges in both orientations.
+        rng = np.random.default_rng(11)
+        graphs = [
+            *corpus,
+            *(sized_multigraph(rng, n, chords) for n in (8, 10, 12) for chords in (0, 2, 4)),
+            Graph(2, tuple((1, 2, 1.0) for _ in range(5))),
+        ]
+        for g in graphs:
+            assert find_tau_threshold(g) == _report_search(g), g
+
     def test_descends_when_start_fails(self):
         # Five parallel unit edges: rho = 5 and s(1/rho) = 1 exactly, so the
         # search must bisect downward from its failing starting point.
@@ -349,3 +424,28 @@ class TestFindTauThreshold:
         tau = find_tau_threshold(g, precision=1e-6)
         assert 0.1999 < tau < 0.2
         assert validate_transitional_measure(g, path_accessibility(g, tau)).passed
+
+
+def _report_search(g, precision=1e-6, tol=1e-9):
+    """The threshold search as it was when every step built a full
+    validation report, kept to check the fused test against."""
+    labels = measures.separation_labels(g)
+
+    def passes(tau):
+        return measures._transition_report(path_accessibility(g, tau).matrix, labels, tol).passed
+
+    start = 1.0 / linalg._spectral_radius(adjacency_matrix(g))
+    if passes(start):
+        lo, hi = start, 2.0 * start
+        while passes(hi):
+            lo, hi = hi, 2.0 * hi
+    else:
+        lo, hi = 0.0, start
+    while hi - lo > precision:
+        mid = 0.5 * (lo + hi)
+        if passes(mid):
+            lo = mid
+        else:
+            hi = mid
+    assert lo > 0.0 and passes(lo)
+    return lo

@@ -1,4 +1,5 @@
-"""Property tests of the checkers: vertex relabeling and gluing at a vertex."""
+"""Property tests of the checkers (vertex relabeling, gluing at a vertex) and
+of the measure symmetry check."""
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from cutmetrics import (  # noqa: E402
 )
 
 from cutmetrics.graph import _block_cut_tree  # noqa: E402
+from cutmetrics.types import _symmetric  # noqa: E402
 
 from conftest import assert_blocks_match_networkx  # noqa: E402
 
@@ -143,3 +145,29 @@ def test_block_cut_tree_matches_networkx_on_glued_graphs(glued):
     assert_blocks_match_networkx(g)
     if left_side and right_side:
         assert a - 1 in _block_cut_tree(g).cut_vertices
+
+
+@st.composite
+def near_symmetric_matrices(draw):
+    """Positive matrices whose upper entries sit within a few ulps of the
+    edge of ``allclose(m, m.T, rtol=1e-9, atol=1e-12)``, above or below the
+    mirrored entry."""
+    n = draw(st.integers(1, 5))
+    magnitude = st.floats(1e-300, 1e300) | st.floats(1e-14, 1e-10)
+    m = np.array([[draw(magnitude) for _ in range(n)] for _ in range(n)])
+    for i in range(n):
+        for k in range(i + 1, n):
+            base = m[k, i]
+            value = base + draw(st.sampled_from([-1.0, 1.0])) * (1e-12 + 1e-9 * base)
+            toward = draw(st.sampled_from([0.0, np.inf]))
+            for _ in range(draw(st.integers(0, 3))):
+                value = np.nextafter(value, toward)
+            if draw(st.booleans()) and value > 0.0:
+                m[i, k] = value
+    return m
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(m=near_symmetric_matrices())
+def test_symmetry_check_decides_as_allclose(m):
+    assert _symmetric(m) == np.allclose(m, m.T, rtol=1e-9, atol=1e-12)
