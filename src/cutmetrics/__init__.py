@@ -48,6 +48,7 @@ from .measures import (
 from .oracle import (
     enumerate_paths,
     enumerate_rooted_forests,
+    long_walk_limit,
     reliability_by_edge_states,
     truncated_walk_sum,
 )
@@ -94,6 +95,7 @@ __all__ = [
     "normalize_distances",
     "enumerate_paths",
     "truncated_walk_sum",
+    "long_walk_limit",
     "reliability_by_edge_states",
     "enumerate_rooted_forests",
     "TransitionalMeasure",

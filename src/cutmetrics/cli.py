@@ -49,8 +49,8 @@ class _UsageError(Exception):
 
 
 def _parse_metric_specs(raw: list[str] | None, tau: float | None, t: float | None):
-    """Expand ``name[:key=value,...]`` specs; bare names fall back to the
-    --tau / --t flags."""
+    """Expand ``name[:key=value,...]`` specs; a key the metric reads and its
+    spec leaves out falls back to the --tau / --t flag."""
     if not raw:
         raise _UsageError("at least one --metric is required")
     specs: list[tuple[str, dict[str, float]]] = []
@@ -72,13 +72,13 @@ def _parse_metric_specs(raw: list[str] | None, tau: float | None, t: float | Non
                         raise ParameterError(f"non-numeric metric parameter {item!r} in {spec!r}") from None
             if name not in METRIC_NAMES:
                 raise ParameterError(f"unknown metric {name!r}; choose from {', '.join(METRIC_NAMES)}")
-            unread = sorted(params.keys() - METRIC_PARAMS.get(name, set()))
+            reads = METRIC_PARAMS.get(name, set())
+            unread = sorted(params.keys() - reads)
             if unread:
                 raise ParameterError(f"metric {name!r} takes no parameter {unread[0]!r} in {spec!r}")
-            if "tau" not in params and tau is not None:
-                params["tau"] = tau
-            if "t" not in params and t is not None:
-                params["t"] = t
+            for key, flag in (("tau", tau), ("t", t)):
+                if key in reads and key not in params and flag is not None:
+                    params[key] = flag
             specs.append((name, params))
     if not specs:
         raise _UsageError("at least one --metric is required")

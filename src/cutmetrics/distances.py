@@ -14,6 +14,8 @@ and for cutpoint additivity.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from . import linalg, measures
@@ -106,83 +108,60 @@ def resistance_distance(g: Graph) -> DistanceMatrix:
     return DistanceMatrix(values, "resistance")
 
 
-def _walk_log_quotient(g: Graph, a: np.ndarray, rho: float, t: float) -> np.ndarray:
-    r = linalg.invert(np.eye(g.n) - t * a)
-    lr = np.log(r)
-    diag = np.diag(lr)
-    return (diag[:, None] + diag[None, :] - 2.0 * lr) / (g.n * rho**2 * (1.0 / rho - t))
+def long_walk_distance(g: Graph, method: str = "closed_form") -> DistanceMatrix:
+    """Long-walk distance: the limit of the scaled walk-distance quotient
+    as ``t`` approaches ``1/rho`` from below (Chebotarev, "The walk
+    distances in graphs", Discrete Appl. Math. 160, 2012).
 
+    It is evaluated in closed form, ``(psi_ii + psi_kk - 2 psi_ik) / n``
+    with ``psi`` the pseudoinverse of ``rho I - A`` divided by
+    ``outer(p, p)``, ``p`` the unit Perron vector.  ``eigh`` resolves ``p``
+    to about ``eps * rho / (rho - lambda_2)`` absolute, so the division
+    can lose ``n * eps * (p_max / p_min) * rho / (rho - lambda_2)``
+    relative to first order; when that bound exceeds ``LONG_WALK_RTOL``
+    (long chains of blocks, nearly equal far-apart blocks) the call raises
+    :class:`NumericError` instead of returning a matrix it cannot vouch for.
 
-def long_walk_distance(
-    g: Graph,
-    rtol: float = LONG_WALK_RTOL,
-    k_start: int = 2,
-    k_max: int = 24,
-    method: str = "limit",
-) -> DistanceMatrix:
-    """Limit of the scaled walk-distance quotient as ``t`` approaches
-    ``1/rho`` from below.
-
-    method="limit" (default) evaluates the quotient at
-    ``t_k = (1 - 2^-k) / rho`` and Richardson-extrapolates, assuming a
-    leading error term linear in ``1/rho - t``; iteration stops when two
-    successive extrapolants agree to ``rtol`` relative.
-
-    method="closed_form" is experimental: it evaluates the candidate
-    closed form built from the pseudoinverse of ``rho I - A`` conjugated by
-    the inverse Perron diagonal.  It matches the limit on every validated
-    test graph but the limit stays the reference definition.
+    ``method`` takes only ``"closed_form"``.  The Richardson limit of the
+    quotient is the independent reference
+    :func:`cutmetrics.oracle.long_walk_limit`.
     """
-    a = adjacency_matrix(g)
-    if method == "closed_form":
-        spectral = linalg.spectral_data(a)
-        rho = spectral.rho
-        p_unit = spectral.perron / np.linalg.norm(spectral.perron)
-        pinv = linalg.symmetric_pseudoinverse(rho * np.eye(g.n) - a, p_unit)
-        psi = pinv / np.outer(p_unit, p_unit)
-        diag = np.diag(psi)
-        values = (diag[:, None] + diag[None, :] - 2.0 * psi) / g.n
-        return DistanceMatrix(values, "longwalk")
-    if method != "limit":
-        raise ParameterError(f"unknown long-walk method {method!r}")
-    rho = linalg._spectral_radius(a)
-
-    off_diag = ~np.eye(g.n, dtype=bool)
-    previous_row: list[np.ndarray] | None = None
-    previous_diag: np.ndarray | None = None
-    last_change = np.inf
-    for k in range(k_start, k_max + 1):
-        t = (1.0 - 2.0**(-k)) / rho
-        row = [_walk_log_quotient(g, a, rho, t)]
-        if previous_row is not None:
-            for m in range(1, len(previous_row) + 1):
-                row.append(row[m - 1] + (row[m - 1] - previous_row[m - 1]) / (2.0**m - 1.0))
-        extrapolant = row[-1]
-        if previous_diag is not None:
-            scale = np.maximum(np.abs(extrapolant), 1e-30)
-            last_change = float((np.abs(extrapolant - previous_diag) / scale)[off_diag].max())
-            if last_change < rtol:
-                return DistanceMatrix(extrapolant, "longwalk")
-        previous_diag = extrapolant
-        previous_row = row
-    # The quotient's float-noise floor grows like 4^k, so on larger graphs
-    # the requested rtol can be unreachable; relaxing rtol or switching to
-    # method="closed_form" both work there.
-    raise NumericError(
-        f"long-walk extrapolation did not converge by k={k_max}: last two "
-        f"iterates differ by {last_change:.3e} relative (requested {rtol:.1e}); "
-        "relax rtol or use method='closed_form'"
-    )
+    if method != "closed_form":
+        raise ParameterError(
+            f"unknown long-walk method {method!r}; the library computes only 'closed_form', "
+            "and the Richardson limit is the reference oracle.long_walk_limit"
+        )
+    return DistanceMatrix(_long_walk(g)[0], "longwalk")
 
 
-def rescaled_long_walk_distance(g: Graph, **kwargs) -> DistanceMatrix:
+def rescaled_long_walk_distance(g: Graph) -> DistanceMatrix:
     """Long-walk distance rescaled by ``n * ||p||_2^2`` with ``p`` the
     sum-normalized Perron vector; the factor is exactly 1 on regular
     graphs."""
-    d = long_walk_distance(g, **kwargs)
-    perron = linalg.spectral_data(adjacency_matrix(g)).perron
-    factor = g.n * float(perron @ perron)
-    return DistanceMatrix(d.values * factor, "longwalk-rescaled", dict(d.params))
+    values, perron = _long_walk(g)
+    return DistanceMatrix(values * (g.n * float(perron @ perron)), "longwalk-rescaled")
+
+
+def _long_walk(g: Graph) -> tuple[np.ndarray, np.ndarray]:
+    """The closed-form long-walk distances of :func:`long_walk_distance`
+    and the sum-normalized Perron vector, from one ``eigh``."""
+    a = adjacency_matrix(g)
+    eigenvalues, v = linalg._perron_eigh(a)
+    rho = float(eigenvalues[-1])
+    perron = v / v.sum()
+    p_unit = perron / np.linalg.norm(perron)
+    gap = rho - float(eigenvalues[-2])
+    ratio = float(p_unit.max()) / float(p_unit.min())
+    bound = g.n * float(np.finfo(float).eps) * ratio * rho / gap if gap > 0.0 else math.inf
+    if not bound <= LONG_WALK_RTOL:
+        raise NumericError(
+            f"long-walk closed form may be off by {bound:.1e} relative, above {LONG_WALK_RTOL:.0e}: "
+            f"Perron ratio p_max/p_min = {ratio:.1e}, spectral gap rho - lambda_2 = {gap:.1e}"
+        )
+    pinv = linalg.symmetric_pseudoinverse(rho * np.eye(g.n) - a, p_unit)
+    psi = pinv / np.outer(p_unit, p_unit)
+    diag = np.diag(psi)
+    return (diag[:, None] + diag[None, :] - 2.0 * psi) / g.n, perron
 
 
 def check_metric_axioms(d: DistanceMatrix, tol: float = 1e-9) -> ValidationReport:

@@ -131,6 +131,14 @@ def spectral_data(a) -> SpectralData:
     the eigensolver's precision, about 1e-16 of the largest (long chains
     of blocks).
     """
+    values, v = _perron_eigh(a)
+    return SpectralData(rho=float(values[-1]), perron=v / v.sum())
+
+
+def _perron_eigh(a) -> tuple[np.ndarray, np.ndarray]:
+    """All eigenvalues, ascending, and the sign-fixed unit Perron vector
+    from one ``numpy.linalg.eigh``, checked as :func:`spectral_data`
+    documents."""
     mat = _as_adjacency(a)
     values, vectors = np.linalg.eigh(mat)
     rho = float(values[-1])
@@ -145,7 +153,7 @@ def spectral_data(a) -> SpectralData:
             "Perron vector has non-positive entries; the input is not a connected adjacency matrix "
             "or its smallest Perron entries are below the eigensolver's precision"
         )
-    return SpectralData(rho=rho, perron=v / v.sum())
+    return values, v
 
 
 def symmetric_pseudoinverse(m, kernel) -> np.ndarray:

@@ -85,8 +85,10 @@ def _path_length_weights(g: Graph) -> np.ndarray:
     """``W[l, i-1, j-1]``: total weight of the simple i-to-j paths with
     exactly ``l`` edges, accumulated in lexicographic path order.
 
-    The length-0 diagonal is 1 (the empty path).  Cached per graph, so the
-    (n, n, n) array is read-only.
+    The length-0 diagonal is 1 (the empty path).  Every prefix of a simple
+    path is a simple path, so the all-zero buckets are the trailing ones,
+    and they are dropped: ``l`` runs to the longest path length.  Cached
+    per graph, so the array is read-only.
     """
     n = g.n
     adj = _sorted_adjacency(g)
@@ -96,6 +98,7 @@ def _path_length_weights(g: Graph) -> np.ndarray:
         for target, length, weight, _ in _simple_paths(g, row + 1, adj):
             weights[length][row][target - 1] += weight
     array = np.array(weights)
+    array = array[: np.flatnonzero(array.any(axis=(1, 2)))[-1] + 1]
     array.flags.writeable = False
     return array
 
@@ -115,11 +118,10 @@ def path_accessibility(g: Graph, tau: float, max_vertices: int = PATH_VERTEX_CAP
     s = np.zeros((g.n, g.n))
     # Each entry sums its buckets by ascending length, one rounding per
     # term; a zero term adds an exact +0.0, so the result equals the sum of
-    # the nonzero buckets alone.  All-zero buckets are skipped.
+    # the nonzero buckets alone.
     with np.errstate(over="ignore"):  # an overflowing entry is refused as non-finite below
         for length, bucket in enumerate(_path_length_weights(g)):
-            if bucket.any():
-                s += _discount(tau, length) * bucket
+            s += _discount(tau, length) * bucket
     return TransitionalMeasure("path", s, {"tau": tau})
 
 
@@ -349,8 +351,8 @@ def find_tau_threshold(
 
     labels = separation_labels(g)
     # separated[j, i, k]: j separates i from k.  Like the path measure's
-    # (n, n, n) length buckets, it exists only within the vertex cap; above
-    # it the first path_accessibility call raises.
+    # length buckets, it exists only within the vertex cap; above it the
+    # first path_accessibility call raises.
     if g.n <= max_vertices:
         separated = labels[:, :, None] != labels[:, None, :]
         separated[np.diag_indices(g.n, ndim=3)] = True

@@ -3,8 +3,9 @@ pipelines on small instances.
 
 Nothing here shares traversal or factorization code with the main modules:
 paths come from a recursive enumerator, walk weights from repeated matrix
-powers, reliabilities from a sweep over all edge-survival states, and
-forest weights from explicit subset enumeration.  Caps fail loudly; the
+powers, reliabilities from a sweep over all edge-survival states, forest
+weights from explicit subset enumeration, and the long-walk distance from
+Richardson extrapolation of its defining limit.  Caps fail loudly; the
 oracles are exact or absent.
 """
 
@@ -14,13 +15,14 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import CapExceededError, GraphInputError, ParameterError
+from .errors import CapExceededError, GraphInputError, NumericError, ParameterError
 from .graph import Graph, adjacency_matrix
 from .types import Path, RootedForestSummary
 
 __all__ = [
     "enumerate_paths",
     "truncated_walk_sum",
+    "long_walk_limit",
     "reliability_by_edge_states",
     "enumerate_rooted_forests",
 ]
@@ -90,6 +92,43 @@ def truncated_walk_sum(g: Graph, t: float, k_terms: int) -> np.ndarray:
         term = term @ ta
         acc = acc + term
     return acc
+
+
+def long_walk_limit(g: Graph, rtol: float = 1e-8, k_start: int = 2, k_max: int = 24) -> np.ndarray:
+    """Long-walk distance as the limit of the scaled walk-distance quotient
+    ``(ln R_ii + ln R_kk - 2 ln R_ik) / (n rho^2 (1/rho - t))``, with
+    ``R = (I - tA)^-1``, as ``t`` approaches ``1/rho`` from below.
+
+    The quotient is evaluated at ``t_k = (1 - 2^-k) / rho`` and
+    Richardson-extrapolated, assuming a leading error term linear in
+    ``1/rho - t``; iteration stops when two successive extrapolants agree
+    to ``rtol`` relative off the diagonal.  The quotient's float-noise
+    floor grows like 4^k, so on larger graphs a small ``rtol`` can be
+    unreachable, and :class:`NumericError` says so.
+    """
+    n = g.n
+    a = adjacency_matrix(g)
+    rho = float(np.linalg.eigvalsh(a)[-1])
+    off_diag = ~np.eye(n, dtype=bool)
+    previous_row: list[np.ndarray] | None = None
+    change = np.inf
+    for k in range(k_start, k_max + 1):
+        t = (1.0 - 2.0 ** (-k)) / rho
+        log_r = np.log(np.linalg.inv(np.eye(n) - t * a))
+        diag = np.diag(log_r)
+        row = [(diag[:, None] + diag[None, :] - 2.0 * log_r) / (n * rho**2 * (1.0 / rho - t))]
+        if previous_row is not None:
+            for m in range(1, len(previous_row) + 1):
+                row.append(row[m - 1] + (row[m - 1] - previous_row[m - 1]) / (2.0**m - 1.0))
+            scale = np.maximum(np.abs(row[-1]), 1e-30)
+            change = float((np.abs(row[-1] - previous_row[-1]) / scale)[off_diag].max())
+            if change < rtol:
+                return row[-1]
+        previous_row = row
+    raise NumericError(
+        f"long-walk extrapolation did not converge by k={k_max}: last two "
+        f"iterates differ by {change:.3e} relative (requested {rtol:.1e})"
+    )
 
 
 class _Kahan:

@@ -144,6 +144,15 @@ class TestValidate:
         sample = payload["violations"][0]
         assert set(sample) == {"i", "j", "k", "lhs", "rhs", "expected_equal"}
 
+    def test_flags_attach_only_to_metrics_that_read_them(self, graph_file, tmp_path):
+        out = str(tmp_path / "report.json")
+        code = main([
+            "validate", "--input", graph_file(DIAMOND_FILE), "--metric", "resistance",
+            "--tau", "0.3", "--t", "0.5", "--json", "--output", out,
+        ])
+        assert code == 0
+        assert json.loads(open(out).read())["params"] == {}
+
     def test_forest_edge_scale_passes(self, graph_file, tmp_path):
         out = str(tmp_path / "report.json")
         code = main(["validate", "--input", graph_file(DIAMOND_FILE), "--metric", "forest:t=0.35", "--json", "--output", out])
@@ -256,6 +265,16 @@ class TestCompare:
         lines = open(out).read().strip().splitlines()[1:]
         far = [float(line.split(",")[3]) for line in lines]  # d(1-4) column
         assert far == sorted(far, reverse=True)
+
+    def test_flags_label_only_metrics_that_read_them(self, graph_file, tmp_path):
+        out = str(tmp_path / "table.csv")
+        code = main([
+            "compare", "--input", graph_file(P4W_FILE), "--metric", "forest,resistance,path",
+            "--tau", "0.3", "--output", out,
+        ])
+        assert code == 0
+        _, rows = _read_rows(out)
+        assert sorted(rows) == ["forest", "path:tau=0.3", "resistance"]
 
     def test_missing_metric_is_usage_error(self, graph_file, capsys):
         assert main(["compare", "--input", graph_file(P4_FILE)]) == 1

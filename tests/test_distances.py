@@ -161,38 +161,23 @@ class TestLongWalkDistance:
         off = d[~np.eye(3, dtype=bool)]
         assert np.abs(off - off[0]).max() <= 1e-9
 
-    def test_closed_form_matches_limit(self, small_corpus):
-        for g in small_corpus[:8]:
-            limit = long_walk_distance(g).values
-            closed = long_walk_distance(g, method="closed_form").values
-            scale = np.maximum(np.abs(limit), 1e-30)
-            off = ~np.eye(g.n, dtype=bool)
-            assert (np.abs(limit - closed) / scale)[off].max() <= 1e-6
-
-    def test_non_convergence_reported(self):
-        with pytest.raises(NumericError, match="extrapolation"):
-            long_walk_distance(p3(), k_max=3)
-
     def test_unknown_method_rejected(self):
         with pytest.raises(ParameterError):
             long_walk_distance(p2(), method="magic")
 
-    def test_relaxed_rtol_on_larger_graph(self):
-        # On bigger graphs the quotient's noise floor sits above 1e-8;
-        # a relaxed tolerance converges and still matches the closed form.
-        rng = np.random.default_rng(3)
-        n = 40
-        edges = [(int(rng.integers(1, v)), v, float(rng.uniform(0.2, 1.0))) for v in range(2, n + 1)]
-        edges += [
-            (int(a), int(b), float(rng.uniform(0.2, 1.0)))
-            for a, b in rng.integers(1, n + 1, size=(20, 2))
-            if a != b
-        ]
-        g = Graph(n, tuple(edges))
-        limit = long_walk_distance(g, rtol=1e-6).values
-        closed = long_walk_distance(g, method="closed_form").values
-        off = ~np.eye(n, dtype=bool)
-        assert (np.abs(limit - closed) / np.maximum(np.abs(closed), 1e-30))[off].max() <= 1e-4
+    def test_limit_method_names_the_oracle(self):
+        with pytest.raises(ParameterError, match="oracle.long_walk_limit"):
+            long_walk_distance(p2(), method="limit")
+
+    def test_one_eigensolve_per_call(self, small_corpus, monkeypatch):
+        calls = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(1) or eigh(a))
+        for g in small_corpus[:6]:
+            for fn in (long_walk_distance, rescaled_long_walk_distance):
+                calls.clear()
+                fn(g)
+                assert len(calls) == 1, fn.__name__
 
 
 class TestRescaledLongWalk:

@@ -85,7 +85,7 @@ class TestPathAccessibility:
             for a in range(g.n):
                 for b in range(g.n):
                     value = 0.0
-                    for length in range(g.n):
+                    for length in range(len(weights)):
                         if weights[length][a][b] != 0.0:
                             value = value + tau**length * float(weights[length][a][b])
                     assert float(s[a, b]) == value

@@ -4,11 +4,14 @@ import pytest
 from cutmetrics import (
     CapExceededError,
     Graph,
+    NumericError,
     ParameterError,
     Path,
     adjacency_matrix,
     enumerate_paths,
     enumerate_rooted_forests,
+    long_walk_distance,
+    long_walk_limit,
     parse_graph,
     reliability_by_edge_states,
     truncated_walk_sum,
@@ -70,6 +73,37 @@ class TestTruncatedWalkSum:
             current = truncated_walk_sum(p3(), 0.5, k)
             assert np.all(current >= previous - 1e-15)
             previous = current
+
+
+class TestLongWalkLimit:
+    def test_closed_form_matches_limit(self, small_corpus):
+        for g in small_corpus[:8]:
+            limit = long_walk_limit(g)
+            closed = long_walk_distance(g).values
+            scale = np.maximum(np.abs(limit), 1e-30)
+            off = ~np.eye(g.n, dtype=bool)
+            assert (np.abs(limit - closed) / scale)[off].max() <= 1e-6
+
+    def test_non_convergence_reported(self):
+        with pytest.raises(NumericError, match="extrapolation"):
+            long_walk_limit(p3(), k_max=3)
+
+    def test_relaxed_rtol_on_larger_graph(self):
+        # On bigger graphs the quotient's noise floor sits above 1e-8;
+        # a relaxed tolerance converges and still matches the closed form.
+        rng = np.random.default_rng(3)
+        n = 40
+        edges = [(int(rng.integers(1, v)), v, float(rng.uniform(0.2, 1.0))) for v in range(2, n + 1)]
+        edges += [
+            (int(a), int(b), float(rng.uniform(0.2, 1.0)))
+            for a, b in rng.integers(1, n + 1, size=(20, 2))
+            if a != b
+        ]
+        g = Graph(n, tuple(edges))
+        limit = long_walk_limit(g, rtol=1e-6)
+        closed = long_walk_distance(g).values
+        off = ~np.eye(n, dtype=bool)
+        assert (np.abs(limit - closed) / np.maximum(np.abs(closed), 1e-30))[off].max() <= 1e-4
 
 
 class TestReliabilityByEdgeStates:
