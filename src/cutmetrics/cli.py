@@ -175,7 +175,7 @@ def _measure_for(g: Graph, name: str, params: dict[str, float]):
     if name == "reliability":
         return measures.connection_reliability(g)
     if name == "forest":
-        return measures.forest_matrix(g, params.get("t", 1.0))
+        return measures._forest_inverse(g, params.get("t", 1.0))
     if name == "walk":
         if "t" not in params:
             raise ParameterError("metric 'walk' needs --t or walk:t=X")

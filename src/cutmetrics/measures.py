@@ -115,13 +115,13 @@ def path_accessibility(g: Graph, tau: float, max_vertices: int = PATH_VERTEX_CAP
         raise ParameterError(f"tau must be positive, got {tau}")
     if g.n > max_vertices:
         raise CapExceededError(f"path enumeration capped at {max_vertices} vertices, graph has {g.n}")
-    s = np.zeros((g.n, g.n))
-    # Each entry sums its buckets by ascending length, one rounding per
-    # term; a zero term adds an exact +0.0, so the result equals the sum of
-    # the nonzero buckets alone.
+    weights = _path_length_weights(g)
+    scales = np.array([_discount(tau, length) for length in range(len(weights))])
+    # Reducing over the outer axis adds each entry's buckets one at a time
+    # by ascending length, one rounding per term; a zero term adds an exact
+    # +0.0, so the result equals the sum of the nonzero buckets alone.
     with np.errstate(over="ignore"):  # an overflowing entry is refused as non-finite below
-        for length, bucket in enumerate(_path_length_weights(g)):
-            s += _discount(tau, length) * bucket
+        s = np.add.reduce(scales[:, None, None] * weights, axis=0)
     return TransitionalMeasure("path", s, {"tau": tau})
 
 
@@ -204,6 +204,14 @@ def _forest_system(g: Graph, t: float) -> np.ndarray:
     if not t > 0.0:
         raise ParameterError(f"edge-scale parameter must be positive, got {t}")
     return np.eye(g.n) + t * laplacian(g)
+
+
+def _forest_inverse(g: Graph, t: float) -> TransitionalMeasure:
+    """``(I + tL)^-1`` as a forest measure: the forest matrix without its
+    determinant factor, which overflows on large graphs.  The log distance
+    and the log-space measure check are scale-invariant, so both read it in
+    place of :func:`forest_matrix`."""
+    return TransitionalMeasure("forest", linalg.invert(_forest_system(g, t)), {"t": t})
 
 
 def forest_matrix(g: Graph, t: float = 1.0) -> TransitionalMeasure:
@@ -310,6 +318,24 @@ def _transition_report(s: np.ndarray, labels: np.ndarray, tol: float) -> Validat
         return _report(triples, s[i, j] * s[j, k], s[i, k] * s[j, j], _separated(labels, i, j, k))
 
 
+def _transition_test(g: Graph, tol: float):
+    """The verdict of :func:`validate_transitional_measure` without its
+    report: a function of a measure matrix that tests every triple in one
+    broadcast pass, with the gaps of :func:`_transition_report` in the same
+    float expression order.  The separation mask takes n^3 bytes."""
+    labels = separation_labels(g)
+    # separated[j, i, k]: j separates i from k.
+    separated = labels[:, :, None] != labels[:, None, :]
+    separated[np.diag_indices(g.n, ndim=3)] = True
+
+    def passes(s: np.ndarray) -> bool:
+        h = np.log(s)
+        gap = h.diagonal()[:, None, None] - ((h.T[:, :, None] + h[:, None, :]) - h)
+        return not _transition_fails(gap, separated, tol).any()
+
+    return passes
+
+
 def validate_transitional_measure(
     g: Graph, s: TransitionalMeasure, tol: float = 1e-9
 ) -> ValidationReport:
@@ -349,23 +375,15 @@ def find_tau_threshold(
     if not precision > 0.0:
         raise ParameterError(f"precision must be positive, got {precision}")
 
-    labels = separation_labels(g)
-    # separated[j, i, k]: j separates i from k.  Like the path measure's
-    # length buckets, it exists only within the vertex cap; above it the
-    # first path_accessibility call raises.
-    if g.n <= max_vertices:
-        separated = labels[:, :, None] != labels[:, None, :]
-        separated[np.diag_indices(g.n, ndim=3)] = True
+    start = 1.0 / linalg._spectral_radius(adjacency_matrix(g))
+    # The first sample raises above the vertex cap, before the mask exists.
+    first = path_accessibility(g, start, max_vertices).matrix
+    transitional = _transition_test(g, tol)
 
     def passes(tau: float) -> bool:
-        # The gaps of _transition_report for every pivot at once, with the
-        # same float expression order, and no report.
-        h = np.log(path_accessibility(g, tau, max_vertices).matrix)
-        gap = np.diagonal(h)[:, None, None] - ((h.T[:, :, None] + h[:, None, :]) - h)
-        return not _transition_fails(gap, separated, tol).any()
+        return transitional(path_accessibility(g, tau, max_vertices).matrix)
 
-    start = 1.0 / linalg._spectral_radius(adjacency_matrix(g))
-    if passes(start):
+    if transitional(first):
         lo, hi = start, 2.0 * start
         doublings = 0
         while passes(hi):

@@ -104,7 +104,7 @@ class ValidationReport:
 def _symmetric(m: np.ndarray) -> bool:
     """``np.allclose(m, m.T, rtol=1e-9, atol=1e-12)`` for finite ``m``,
     without its handling of infinities and NaN."""
-    return bool(np.all(np.abs(m - m.T) <= 1e-12 + 1e-9 * np.abs(m.T)))
+    return bool((np.abs(m - m.T) <= 1e-12 + 1e-9 * np.abs(m.T)).all())
 
 
 @dataclass(frozen=True, eq=False)
@@ -121,11 +121,12 @@ class TransitionalMeasure:
         m = self.matrix
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError("measure matrix must be square")
-        if not np.all(np.isfinite(m)) or not np.all(m > 0.0):
+        # A NaN fails both comparisons; a 0 x 0 matrix has nothing to test.
+        if m.size and not (m.min() > 0.0 and m.max() < np.inf):
             raise NumericError(f"{self.kind} measure has non-positive or non-finite entries")
         if not _symmetric(m):
             raise NumericError(f"{self.kind} measure is not symmetric")
-        if self.kind in ("path", "reliability") and not np.all(np.diag(m) == 1.0):
+        if self.kind in ("path", "reliability") and not (m.diagonal() == 1.0).all():
             raise NumericError(f"{self.kind} measure must have unit diagonal")
 
     @property

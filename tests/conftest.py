@@ -1,3 +1,4 @@
+import networkx as nx
 import numpy as np
 import pytest
 
@@ -55,7 +56,7 @@ def triangle_chain(count):
     return Graph(2 * count + 1, tuple(edges))
 
 
-def as_networkx(nx, g):
+def as_networkx(g):
     """``g`` as a simple networkx graph: loops dropped, parallel edges merged."""
     reference = nx.Graph()
     reference.add_nodes_from(range(1, g.n + 1))
@@ -67,8 +68,7 @@ def assert_blocks_match_networkx(g):
     """The blocks and cut vertices of the block-cut tree are those networkx finds."""
     from cutmetrics.graph import _block_cut_tree
 
-    nx = pytest.importorskip("networkx")
-    reference = as_networkx(nx, g)
+    reference = as_networkx(g)
     tree = _block_cut_tree(g)
     blocks = sorted(sorted(block.tolist()) for block in tree.blocks)
     assert blocks == sorted(sorted(v - 1 for v in b) for b in nx.biconnected_components(reference)), g

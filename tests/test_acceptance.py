@@ -11,6 +11,7 @@ import math
 import time
 from fractions import Fraction
 
+import networkx as nx
 import numpy as np
 import pytest
 
@@ -290,7 +291,6 @@ def test_criterion_8b_resistance_not_additive_on_diamond():
     # checker accepts it.  Shortest path is the negative control on the
     # same graph: it is additive through 2 and through 3 between 1 and 4,
     # where no cutpoint exists, and the checker must reject exactly those.
-    nx = pytest.importorskip("networkx")
     g = diamond()
     triples = list(itertools.permutations(range(1, g.n + 1), 3))
 

@@ -160,6 +160,17 @@ class TestValidate:
         payload = json.loads(open(out).read())
         assert payload["params"] == {"t": 0.35} and payload["passed"] is True
 
+    def test_forest_passes_where_the_determinant_overflows(self, graph_file, capsys):
+        # det(I + L) of K_160 overflows a float (ln det = 807.9).  The measure
+        # check is scale-invariant in log space, so validate reads
+        # (I + L)^-1, the matrix compute inverts, and both succeed.
+        n = 160
+        text = f"{n}\n" + "".join(f"{u} {v} 1\n" for u in range(1, n + 1) for v in range(u + 1, n + 1))
+        path = graph_file(text)
+        assert main(["compute", "--input", path, "--metric", "forest", "--output", os.devnull]) == 0
+        assert main(["validate", "--input", path, "--metric", "forest"]) == 0
+        assert "overall: passed" in capsys.readouterr().out
+
     def test_walk_passes_on_diamond(self, graph_file):
         assert main(["validate", "--input", graph_file(DIAMOND_FILE), "--metric", "walk", "--t", "0.3"]) == 0
 

@@ -13,12 +13,14 @@ from cutmetrics import (
     adjacency_matrix,
     check_cutpoint_additivity,
     check_metric_axioms,
+    find_tau_threshold,
     forest_distance,
     forest_matrix,
     log_distance,
     long_walk_distance,
     normalize_distances,
     parse_graph,
+    path_accessibility,
     path_distance,
     reliability_distance,
     rescaled_long_walk_distance,
@@ -26,10 +28,11 @@ from cutmetrics import (
     separation_labels,
     shortest_path_lengths,
     spectral_data,
+    validate_transitional_measure,
     walk_distance,
     walk_matrix,
 )
-from cutmetrics import distances
+from cutmetrics import distances, measures
 from cutmetrics.types import ValidationReport, Violation
 
 from conftest import c4, clique_edges, complete, diamond, k3, p2, p3, p4, path_edges, star4
@@ -126,6 +129,35 @@ class TestDistanceFamilies:
     def test_path_distance_valid_tau(self):
         d = path_distance(k3(), 0.5)
         assert d.value(1, 2) == pytest.approx(-math.log(0.75), abs=1e-13)
+
+    def test_path_distance_builds_no_report_when_valid(self, monkeypatch, small_corpus):
+        calls = []
+        original = measures._report
+        monkeypatch.setattr(measures, "_report", lambda *args: calls.append(args) or original(*args))
+        for g in small_corpus[:6]:
+            path_distance(g, find_tau_threshold(g, precision=1e-4) / 2.0)
+        assert calls == []
+        with pytest.raises(ParameterError):
+            path_distance(k3(), 0.7)
+        assert len(calls) == 1
+
+    def test_path_distance_refuses_as_the_report_does(self, corpus):
+        # The one-pass test refuses exactly when the full report fails, with
+        # the report's violation count; a valid tau gives the log distance.
+        for g in corpus[::4]:
+            threshold = find_tau_threshold(g, precision=1e-4)
+            for tau in (threshold / 2.0, threshold, threshold + 2e-4, 1.5 * threshold, 4.0 * threshold):
+                measure = path_accessibility(g, tau)
+                report = validate_transitional_measure(g, measure)
+                if report.passed:
+                    assert path_distance(g, tau).values.tobytes() == log_distance(measure).values.tobytes()
+                    continue
+                with pytest.raises(ParameterError) as refused:
+                    path_distance(g, tau)
+                assert str(refused.value) == (
+                    f"tau={tau} fails transitional-measure validation "
+                    f"({len(report.violations)} violating triples); try a smaller value"
+                )
 
 
 class TestResistanceDistance:

@@ -1,5 +1,6 @@
 import sys
 
+import networkx as nx
 import numpy as np
 import pytest
 
@@ -203,9 +204,8 @@ class TestSeparationLabels:
             assert separation_labels(g).tolist() == expected, g
 
     def test_matches_networkx_on_corpus(self, corpus):
-        nx = pytest.importorskip("networkx")
         for g in corpus:
-            reference = as_networkx(nx, g)
+            reference = as_networkx(g)
             labels = separation_labels(g)
             counts = [len(set(row.tolist()) - {-1}) for row in labels]
             for j in range(1, g.n + 1):

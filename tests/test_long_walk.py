@@ -6,6 +6,7 @@ generator, loaded by path."""
 import importlib.util
 from pathlib import Path
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -29,7 +30,6 @@ def cut_rich(seed, n, chain):
 def reference(g, digits=30):
     """``(psi_ii + psi_kk - 2 psi_ik) / n`` with ``psi`` the pseudoinverse
     of ``rho I - A`` over ``outer(p, p)``, every step in mpmath."""
-    mp = pytest.importorskip("mpmath")
     n = g.n
     with mp.workdps(digits):
         values, vectors = mp.eigsy(mp.matrix(adjacency_matrix(g).tolist()))
