@@ -15,6 +15,7 @@ Exit codes: 0 success, 1 input/usage errors (and failed validation),
 from __future__ import annotations
 
 import argparse
+import collections
 import functools
 import json
 import math
@@ -25,23 +26,29 @@ import numpy as np
 from . import distances, measures
 from .errors import GraphInputError, NumericError, ParameterError
 from .graph import Graph, parse_graph, separation_labels, shortest_path_lengths
-from .types import DistanceMatrix, ValidationReport
+from .types import ValidationReport
 
 __all__ = ["main", "entry_point"]
 
-METRIC_NAMES = (
-    "shortest",
-    "resistance",
-    "path",
-    "reliability",
-    "forest",
-    "walk",
-    "longwalk",
-    "longwalk-rescaled",
-)
-METRIC_PARAMS = {"path": {"tau"}, "forest": {"t"}, "walk": {"t"}}  # the inline keys each metric reads
-DEFAULT_PAIRS = "1-2,2-3,3-4"
-DEFAULT_TARGET = 3.0
+# Per metric: distance builder, measure builder (or None), inline keys with
+# their defaults (None where required), default validation tolerance.  The
+# builders look distances.X / measures.X up when called: tracing and tests
+# rebind those module attributes, which a stored function would bypass.
+_Metric = collections.namedtuple("_Metric", "distance measure keys tol", defaults=(None, {}, 1e-9))
+_METRICS = {
+    "shortest": _Metric(lambda g: shortest_path_lengths(g)),
+    "resistance": _Metric(lambda g: distances.resistance_distance(g)),
+    "path": _Metric(
+        lambda g, tau: distances.path_distance(g, tau), lambda g, tau: measures.path_accessibility(g, tau), {"tau": None}
+    ),
+    "reliability": _Metric(lambda g: distances.reliability_distance(g), lambda g: measures.connection_reliability(g)),
+    "forest": _Metric(
+        lambda g, t: distances.forest_distance(g, t), lambda g, t: measures._forest_inverse(g, t), {"t": 1.0}
+    ),
+    "walk": _Metric(lambda g, t: distances.walk_distance(g, t), lambda g, t: measures.walk_matrix(g, t), {"t": None}),
+    "longwalk": _Metric(lambda g: distances.long_walk_distance(g), tol=1e-6),
+    "longwalk-rescaled": _Metric(lambda g: distances.rescaled_long_walk_distance(g), tol=1e-6),
+}
 
 
 class _UsageError(Exception):
@@ -49,12 +56,11 @@ class _UsageError(Exception):
 
 
 def _parse_metric_specs(raw: list[str] | None, tau: float | None, t: float | None):
-    """Expand ``name[:key=value,...]`` specs; a key the metric reads and its
+    """Expand ``name[:key=value;...]`` specs; a key the metric reads and its
     spec leaves out falls back to the --tau / --t flag."""
-    if not raw:
-        raise _UsageError("at least one --metric is required")
+    flags = {"tau": tau, "t": t}
     specs: list[tuple[str, dict[str, float]]] = []
-    for chunk in raw:
+    for chunk in raw or ():
         for spec in chunk.split(","):
             spec = spec.strip()
             if not spec:
@@ -64,21 +70,24 @@ def _parse_metric_specs(raw: list[str] | None, tau: float | None, t: float | Non
             if paramtext:
                 for item in paramtext.split(";"):
                     key, sep, value = item.partition("=")
+                    key = key.strip()
                     if not sep:
                         raise ParameterError(f"malformed metric parameter {item!r} in {spec!r}")
+                    if key in params:
+                        raise ParameterError(f"metric parameter {key!r} given twice in {spec!r}")
                     try:
-                        params[key.strip()] = float(value)
+                        params[key] = float(value)
                     except ValueError:
                         raise ParameterError(f"non-numeric metric parameter {item!r} in {spec!r}") from None
-            if name not in METRIC_NAMES:
-                raise ParameterError(f"unknown metric {name!r}; choose from {', '.join(METRIC_NAMES)}")
-            reads = METRIC_PARAMS.get(name, set())
-            unread = sorted(params.keys() - reads)
+            if name not in _METRICS:
+                raise ParameterError(f"unknown metric {name!r}; choose from {', '.join(_METRICS)}")
+            keys = _METRICS[name].keys
+            unread = sorted(params.keys() - keys.keys())
             if unread:
                 raise ParameterError(f"metric {name!r} takes no parameter {unread[0]!r} in {spec!r}")
-            for key, flag in (("tau", tau), ("t", t)):
-                if key in reads and key not in params and flag is not None:
-                    params[key] = flag
+            for key in keys:
+                if key not in params and flags[key] is not None:
+                    params[key] = flags[key]
             specs.append((name, params))
     if not specs:
         raise _UsageError("at least one --metric is required")
@@ -103,32 +112,16 @@ def _parse_pairs(text: str) -> list[tuple[int, int]]:
     return pairs
 
 
-def _build_distance(g: Graph, name: str, params: dict[str, float]) -> DistanceMatrix:
-    if name == "shortest":
-        return shortest_path_lengths(g)
-    if name == "resistance":
-        return distances.resistance_distance(g)
-    if name == "path":
-        if "tau" not in params:
-            raise ParameterError("metric 'path' needs --tau or path:tau=X")
-        return distances.path_distance(g, params["tau"])
-    if name == "reliability":
-        return distances.reliability_distance(g)
-    if name == "forest":
-        return distances.forest_distance(g, params.get("t", 1.0))
-    if name == "walk":
-        if "t" not in params:
-            raise ParameterError("metric 'walk' needs --t or walk:t=X")
-        return distances.walk_distance(g, params["t"])
-    if name == "longwalk":
-        return distances.long_walk_distance(g)
-    if name == "longwalk-rescaled":
-        return distances.rescaled_long_walk_distance(g)
-    raise ParameterError(f"unknown metric {name!r}")
-
-
-def _default_tol(name: str) -> float:
-    return 1e-6 if name.startswith("longwalk") else 1e-9
+def _build(g: Graph, name: str, params: dict[str, float], part: str = "distance"):
+    """The ``part`` (distance or measure) of metric ``name`` on ``g``; a key
+    missing from ``params`` takes its default, and a required one is refused."""
+    metric = _METRICS[name]
+    values = {}
+    for key, default in metric.keys.items():
+        values[key] = params.get(key, default)
+        if values[key] is None:
+            raise ParameterError(f"metric {name!r} needs --{key} or {name}:{key}=X")
+    return getattr(metric, part)(g, **values)
 
 
 def _format(value: float) -> str:
@@ -157,30 +150,13 @@ def _cmd_compute(args: argparse.Namespace) -> int:
     if len(specs) != 1:
         raise _UsageError("compute takes exactly one metric")
     name, params = specs[0]
-    d = _build_distance(g, name, params)
+    d = _build(g, name, params)
     lines = [",".join(str(v) for v in range(1, g.n + 1))]
     for row in d.values:
         lines.append(",".join(_format(x) for x in row))
     _write_output("\n".join(lines) + "\n", args.output)
-    shown = {k: v for k, v in d.params.items()}
-    print(f"cutmetrics compute: metric={name} params={shown} n={g.n} input={args.input}", file=sys.stderr)
+    print(f"cutmetrics compute: metric={name} params={d.params} n={g.n} input={args.input}", file=sys.stderr)
     return 0
-
-
-def _measure_for(g: Graph, name: str, params: dict[str, float]):
-    if name == "path":
-        if "tau" not in params:
-            raise ParameterError("metric 'path' needs --tau or path:tau=X")
-        return measures.path_accessibility(g, params["tau"])
-    if name == "reliability":
-        return measures.connection_reliability(g)
-    if name == "forest":
-        return measures._forest_inverse(g, params.get("t", 1.0))
-    if name == "walk":
-        if "t" not in params:
-            raise ParameterError("metric 'walk' needs --t or walk:t=X")
-        return measures.walk_matrix(g, params["t"])
-    return None
 
 
 # One violation as json.dumps(indent=2) lays it out inside the payload.
@@ -217,16 +193,17 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     if len(specs) != 1:
         raise _UsageError("validate takes exactly one metric")
     name, params = specs[0]
-    tol = args.tol if args.tol is not None else _default_tol(name)
+    metric = _METRICS[name]
+    tol = args.tol if args.tol is not None else metric.tol
 
     checks: list[tuple[str, ValidationReport]] = []
-    measure = _measure_for(g, name, params)
+    measure = None if metric.measure is None else _build(g, name, params, "measure")
     labels = separation_labels(g)
     if measure is not None:
         checks.append(("transitional-measure", measures._transition_report(measure.matrix, labels, tol)))
         d = distances.log_distance(measure)
     else:
-        d = _build_distance(g, name, params)
+        d = _build(g, name, params)
     axioms, additivity = distances._distance_reports(g, d, labels, tol)
     checks += [("metric-axioms", axioms), ("cutpoint-additivity", additivity)]
 
@@ -249,10 +226,6 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     return 0 if passed else 1
 
 
-def _normalized(g: Graph, name: str, params: dict[str, float], pairs, target) -> DistanceMatrix:
-    return distances.normalize_distances(_build_distance(g, name, params), pairs, target)
-
-
 def _metric_label(name: str, params: dict[str, float]) -> str:
     if not params:
         return name
@@ -268,7 +241,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     all_pairs = [(u, v) for u in range(1, g.n + 1) for v in range(u + 1, g.n + 1)]
     rows = []
     for name, params in specs:
-        d = _normalized(g, name, params, pairs, args.target)
+        d = distances.normalize_distances(_build(g, name, params), pairs, args.target)
         rows.append((_metric_label(name, params), d))
     rows.sort(key=lambda item: -item[1].value(first, last))
     header = "metric," + ",".join(f"d({u}-{v})" for u, v in all_pairs)
@@ -287,8 +260,8 @@ def _cmd_figure(args: argparse.Namespace) -> int:
     pairs = _parse_pairs(args.pairs)
     lines = ["metric,vertex,x,y"]
     for name, params in specs:
-        tol = args.tol if args.tol is not None else _default_tol(name)
-        d = _normalized(g, name, params, pairs, args.target)
+        tol = args.tol if args.tol is not None else _METRICS[name].tol
+        d = distances.normalize_distances(_build(g, name, params), pairs, args.target)
         d12, d34 = d.value(1, 2), d.value(3, 4)
         if abs(d12 - d34) > tol * max(abs(d12), abs(d34)) + 1e-12:
             raise ParameterError(
@@ -310,6 +283,25 @@ def _cmd_figure(args: argparse.Namespace) -> int:
     return 0
 
 
+# Every flag; each command below reads the first five and those it lists.
+_FLAGS = {
+    "--input": {"required": True, "help": "edge-list graph file"},
+    "--output": {"default": None, "help": "output file (default: stdout)"},
+    "--metric": {
+        "action": "append",
+        "metavar": "NAME[:k=v]",
+        "help": f"metric name, one of: {', '.join(_METRICS)};"
+        " repeatable or comma-separated, inline params like walk:t=0.4",
+    },
+    "--tau": {"type": float, "default": None, "help": "path-measure discount"},
+    "--t": {"type": float, "default": None, "help": "walk parameter / forest edge scale"},
+    "--pairs": {"default": "1-2,2-3,3-4", "help": "normalization pairs, e.g. '1-2,2-3,3-4'"},
+    "--target": {"type": float, "default": 3.0, "help": "normalization target sum"},
+    "--tol": {"type": float, "default": None, "help": "tolerance override"},
+    "--json": {"action": "store_true", "help": "machine-readable report"},
+}
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once: parsing leaves no state in it."""
@@ -318,28 +310,15 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Graph distances on connected weighted multigraphs, with structural validation.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for command, handler in (
-        ("compute", _cmd_compute),
-        ("validate", _cmd_validate),
-        ("compare", _cmd_compare),
-        ("figure", _cmd_figure),
+    for command, handler, flags in (
+        ("compute", _cmd_compute, ()),
+        ("validate", _cmd_validate, ("--tol", "--json")),
+        ("compare", _cmd_compare, ("--pairs", "--target")),
+        ("figure", _cmd_figure, ("--pairs", "--target", "--tol")),
     ):
         p = sub.add_parser(command)
-        p.add_argument("--input", required=True, help="edge-list graph file")
-        p.add_argument("--output", default=None, help="output file (default: stdout)")
-        p.add_argument(
-            "--metric",
-            action="append",
-            metavar="NAME[:k=v]",
-            help=f"metric name, one of: {', '.join(METRIC_NAMES)};"
-            " repeatable or comma-separated, inline params like walk:t=0.4",
-        )
-        p.add_argument("--tau", type=float, default=None, help="path-measure discount")
-        p.add_argument("--t", type=float, default=None, help="walk parameter / forest edge scale")
-        p.add_argument("--pairs", default=DEFAULT_PAIRS, help="normalization pairs, e.g. '1-2,2-3,3-4'")
-        p.add_argument("--target", type=float, default=DEFAULT_TARGET, help="normalization target sum")
-        p.add_argument("--tol", type=float, default=None, help="tolerance override")
-        p.add_argument("--json", action="store_true", help="machine-readable report (validate)")
+        for flag in ("--input", "--output", "--metric", "--tau", "--t", *flags):
+            p.add_argument(flag, **_FLAGS[flag])
         p.set_defaults(handler=handler)
     return parser
 

@@ -247,7 +247,10 @@ def _additivity_report(x: np.ndarray, labels: np.ndarray, triples: np.ndarray) -
 def normalize_distances(
     d: DistanceMatrix, pairs: list[tuple[int, int]], target: float
 ) -> DistanceMatrix:
-    """Rescale so that the distances over ``pairs`` sum to ``target``."""
+    """Rescale so that the distances over ``pairs`` sum to ``target``, a
+    positive finite number; a rescale that overflows is a NumericError."""
+    if not 0.0 < target < math.inf:
+        raise ParameterError(f"normalization target must be positive and finite, got {target!r}")
     if not pairs:
         raise ParameterError("normalization needs at least one vertex pair")
     total = 0.0
@@ -258,6 +261,10 @@ def normalize_distances(
     if not total > 0.0:
         raise ParameterError(f"normalization pairs sum to {total}, expected a positive value")
     scale = target / total
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = d.values * scale
+    if not np.isfinite(values).all():
+        raise NumericError(f"rescaling {d.metric} distances to sum {target!r} overflows a float")
     params = dict(d.params)
     params["scale"] = scale
-    return DistanceMatrix(d.values * scale, d.metric, params)
+    return DistanceMatrix(values, d.metric, params)

@@ -200,10 +200,17 @@ def connection_reliability(g: Graph, max_paths_per_pair: int = PATHS_PER_PAIR_CA
 
 
 def _forest_system(g: Graph, t: float) -> np.ndarray:
-    """``I + t L``: the forest matrix is ``det(I + tL) (I + tL)^-1``."""
+    """``I + t L``: the forest matrix is ``det(I + tL) (I + tL)^-1``.  A ``t``
+    so large that ``t L`` or the 1-norm ``linalg.invert`` takes of the
+    system overflows is refused here."""
     if not t > 0.0:
         raise ParameterError(f"edge-scale parameter must be positive, got {t}")
-    return np.eye(g.n) + t * laplacian(g)
+    with np.errstate(over="ignore", invalid="ignore"):
+        system = np.eye(g.n) + t * laplacian(g)
+        norm = np.abs(system).sum(axis=0).max()
+    if not norm < np.inf:
+        raise ParameterError(f"edge-scale parameter t={t!r} overflows a float in I + tL")
+    return system
 
 
 def _forest_inverse(g: Graph, t: float) -> TransitionalMeasure:
@@ -323,10 +330,9 @@ def _transition_test(g: Graph, tol: float):
     report: a function of a measure matrix that tests every triple in one
     broadcast pass, with the gaps of :func:`_transition_report` in the same
     float expression order.  The separation mask takes n^3 bytes."""
-    labels = separation_labels(g)
+    idx = np.arange(g.n)
     # separated[j, i, k]: j separates i from k.
-    separated = labels[:, :, None] != labels[:, None, :]
-    separated[np.diag_indices(g.n, ndim=3)] = True
+    separated = _separated(separation_labels(g), idx[None, :, None], idx[:, None, None], idx[None, None, :])
 
     def passes(s: np.ndarray) -> bool:
         h = np.log(s)

@@ -354,6 +354,89 @@ def test_python_dash_m_runs_the_cli(graph_file, capsys):
     assert (run.returncode, run.stdout) == (code, expected)
 
 
+class TestMetricTable:
+    # One spec per table entry, with the library call it must reproduce.
+    LIBRARY = {
+        "shortest": graph.shortest_path_lengths,
+        "resistance": distances.resistance_distance,
+        "path:tau=0.3": lambda g: distances.path_distance(g, 0.3),
+        "reliability": distances.reliability_distance,
+        "forest": lambda g: distances.forest_distance(g, 1.0),
+        "walk:t=0.4": lambda g: distances.walk_distance(g, 0.4),
+        "longwalk": distances.long_walk_distance,
+        "longwalk-rescaled": distances.rescaled_long_walk_distance,
+    }
+
+    def test_library_covers_every_entry(self):
+        assert [spec.partition(":")[0] for spec in self.LIBRARY] == list(cli._METRICS)
+
+    @pytest.mark.parametrize("spec", list(LIBRARY))
+    def test_compute_writes_the_library_matrix(self, graph_file, tmp_path, spec):
+        out = tmp_path / "d.csv"
+        assert main(["compute", "--input", graph_file(P4W_FILE), "--metric", spec, "--output", str(out)]) == 0
+        d = self.LIBRARY[spec](graph.parse_graph(P4W_FILE))
+        rows = [",".join(f"{x:.12g}" for x in row) for row in d.values]
+        assert out.read_text() == "\n".join(["1,2,3,4", *rows]) + "\n"
+
+    def test_plain_forest_echoes_no_params(self, graph_file, tmp_path):
+        out = tmp_path / "report.json"
+        code = main(["validate", "--input", graph_file(DIAMOND_FILE), "--metric", "forest", "--json", "--output", str(out)])
+        assert code == 0
+        assert json.loads(out.read_text())["params"] == {}
+
+    @pytest.mark.parametrize("command", ["compute", "validate", "compare", "figure"])
+    @pytest.mark.parametrize("metric, flag", [("path", "tau"), ("walk", "t")])
+    def test_required_key_refused_under_every_command(self, graph_file, capsys, command, metric, flag):
+        assert main([command, "--input", graph_file(P4W_FILE), "--metric", metric]) == 2
+        assert capsys.readouterr().err == f"parameter error: metric {metric!r} needs --{flag} or {metric}:{flag}=X\n"
+
+    @pytest.mark.parametrize("spec", ["walk:t=0.4;t=0.1", "forest:t=1;t=1", "path:tau=0.3; tau=0.2"])
+    def test_repeated_inline_key_refused(self, graph_file, capsys, spec):
+        assert main(["compute", "--input", graph_file(P4W_FILE), "--metric", spec]) == 2
+        key = spec.split(":")[1].split("=")[0]
+        assert f"metric parameter {key!r} given twice" in capsys.readouterr().err
+
+    def test_overflowing_forest_scale_names_t(self, graph_file, capsys):
+        assert main(["compute", "--input", graph_file(P4_FILE), "--metric", "forest:t=1e308"]) == 2
+        assert capsys.readouterr().err == "parameter error: edge-scale parameter t=1e+308 overflows a float in I + tL\n"
+
+
+class TestCommandFlags:
+    @pytest.mark.parametrize(
+        "command, flag",
+        [
+            ("compute", "--json"),
+            ("compute", "--tol=1e-3"),
+            ("validate", "--pairs=1-2"),
+            ("validate", "--target=3"),
+            ("compare", "--json"),
+            ("compare", "--tol=1e-3"),
+            ("figure", "--json"),
+        ],
+    )
+    def test_flag_the_command_does_not_read_is_refused(self, graph_file, capsys, command, flag):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--input", graph_file(P4_FILE), "--metric", "shortest", flag])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["validate", "--tol", "1e-6", "--json"],
+            ["compare", "--pairs", "1-2,2-3,3-4", "--target", "6"],
+            ["figure", "--pairs", "1-2,2-3,3-4", "--target", "6", "--tol", "1e-6"],
+        ],
+    )
+    def test_each_command_reads_its_own_flags(self, graph_file, capsys, argv):
+        assert main([*argv, "--input", graph_file(P4_FILE), "--metric", "shortest", "--tau", "0.3", "--t", "0.4"]) == 0
+
+    @pytest.mark.parametrize("target", ["-1", "0", "nan", "inf"])
+    def test_target_outside_positive_finite_exits_2(self, graph_file, capsys, target):
+        assert main(["compare", "--input", graph_file(P4_FILE), "--metric", "shortest", "--target", target]) == 2
+        assert "normalization target must be positive and finite" in capsys.readouterr().err
+
+
 class TestParser:
     def test_many_calls_build_one_parser(self, graph_file, capsys):
         cli._build_parser.cache_clear()

@@ -362,6 +362,23 @@ class TestNormalizeDistances:
         with pytest.raises(ParameterError):
             normalize_distances(zero, self.PAIRS, 3.0)
 
+    @pytest.mark.parametrize("target", [-1.0, 0.0, -0.0, math.nan, math.inf, -math.inf])
+    def test_target_outside_positive_finite_rejected(self, target):
+        with pytest.raises(ParameterError, match="target must be positive and finite"):
+            normalize_distances(shortest_path_lengths(p4()), self.PAIRS, target)
+
+    @pytest.mark.parametrize("target", [1.7e308, math.nextafter(math.inf, 0.0)])
+    def test_overflowing_rescale_is_numeric_error(self, target):
+        # d(1,2) = 0.5 doubles the target past the float range; the
+        # RuntimeWarning filter turns any numpy overflow warning into a failure.
+        half = DistanceMatrix(np.array([[0.0, 0.5], [0.5, 0.0]]), "candidate")
+        with pytest.raises(NumericError, match="overflows a float"):
+            normalize_distances(half, [(1, 2)], target)
+
+    def test_largest_finite_rescale_passes(self):
+        d = normalize_distances(DistanceMatrix(np.array([[0.0, 2.0], [2.0, 0.0]]), "candidate"), [(1, 2)], 1.7e308)
+        assert d.value(1, 2) == 1.7e308
+
 
 class TestMergedDistancePass:
     def test_reports_equal_the_public_checkers(self, corpus):

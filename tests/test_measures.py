@@ -219,6 +219,17 @@ class TestForestMatrix:
         with pytest.raises(ParameterError, match="positive"):
             forest_matrix(p3(), 0.0)
 
+    @pytest.mark.parametrize("weight", [1.0, 0.5])
+    @pytest.mark.parametrize("t", [1e308, math.inf])
+    def test_overflowing_edge_scale_names_t(self, t, weight):
+        # With unit weights t*L itself overflows; with weight 0.5 its entries
+        # stay finite but the 1-norm linalg.invert takes does not.  The
+        # RuntimeWarning filter fails the test on any numpy warning.
+        g = Graph(4, ((1, 2, weight), (2, 3, weight), (3, 4, weight)))
+        for build in (forest_matrix, distances.forest_distance, measures._forest_inverse):
+            with pytest.raises(ParameterError, match=r"edge-scale parameter t=.* overflows a float in I \+ tL"):
+                build(g, t)
+
     def test_determinant_overflow_named(self):
         # det(I+L) = 161^159 on K_160 exceeds the float range.
         with pytest.raises(NumericError, match="overflow"):
