@@ -269,7 +269,12 @@ def _cmd_figure(args: argparse.Namespace) -> int:
                 "the symmetric trapezoid needs d(1,2) = d(3,4)"
             )
         d23, d14 = d.value(2, 3), d.value(1, 4)
-        height = math.sqrt(max(0.0, d12**2 - ((d14 - d23) / 2.0) ** 2))
+        try:
+            height = math.sqrt(max(0.0, d12**2 - ((d14 - d23) / 2.0) ** 2))
+        except OverflowError:
+            raise NumericError(
+                f"{name}: the trapezoid height overflows a float at --target {args.target!r}"
+            ) from None
         label = _metric_label(name, params)
         coords = [
             (1, -d14 / 2.0, height),

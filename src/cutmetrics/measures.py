@@ -218,7 +218,18 @@ def _forest_inverse(g: Graph, t: float) -> TransitionalMeasure:
     determinant factor, which overflows on large graphs.  The log distance
     and the log-space measure check are scale-invariant, so both read it in
     place of :func:`forest_matrix`."""
-    return TransitionalMeasure("forest", linalg.invert(_forest_system(g, t)), {"t": t})
+    return TransitionalMeasure("forest", _invert_forest_system(_forest_system(g, t), t), {"t": t})
+
+
+def _invert_forest_system(system: np.ndarray, t: float) -> np.ndarray:
+    """``linalg.invert`` of ``I + tL``, with a refusal that names ``t``:
+    the condition of the system grows like ``t`` times the largest
+    Laplacian eigenvalue, so a large finite ``t`` is what makes it
+    near-singular."""
+    try:
+        return linalg.invert(system)
+    except NumericError as exc:
+        raise NumericError(f"edge-scale parameter t={t!r} leaves I + tL too ill-conditioned to invert: {exc}") from None
 
 
 def forest_matrix(g: Graph, t: float = 1.0) -> TransitionalMeasure:
@@ -232,7 +243,7 @@ def forest_matrix(g: Graph, t: float = 1.0) -> TransitionalMeasure:
     """
     m = _forest_system(g, t)
     log_det = np.linalg.slogdet(m)[1]
-    inverse = linalg.invert(m)
+    inverse = _invert_forest_system(m, t)
     if not log_det + np.log(inverse.max()) < linalg.LOG_FLOAT_MAX:
         raise NumericError(
             f"det(I+tL) overflows a float (ln det = {log_det:.6g}), so the forest matrix cannot be formed; "
@@ -245,19 +256,22 @@ def walk_matrix(g: Graph, t: float) -> TransitionalMeasure:
     """Walk-weight matrix ``(I - tA)^-1`` for ``0 < t < 1/rho``.
 
     For ``t > 0``, ``I - tA`` is positive definite exactly when
-    ``t < 1/rho``, so its Cholesky factor proves the bound and gives the
-    inverse.  The spectral radius is computed only when the factorization
-    or the condition check refuses, to tell a bad ``t`` from a
-    near-singular system.
+    ``t < 1/rho``.  ``linalg._pd_inverse`` inverts it by a
+    Schur-complement recursion that finishes only when every leaf
+    Cholesky factorization succeeds; by Haynsworth inertia additivity
+    that proves positive definiteness, so the inverse both proves the
+    bound and is the result.  The spectral radius is computed only when
+    the recursion or the condition check refuses, to tell a bad ``t`` from
+    a near-singular system.
     """
     a = adjacency_matrix(g)
     # rho >= max(A), so a larger t fails the bound and t * A cannot overflow.
     if 0.0 < t < 1.0 / a.max():
         system = np.eye(g.n) - t * a
-        factor = linalg._cholesky(system)
-        if factor is not None:
+        inverse = linalg._pd_inverse(system)
+        if inverse is not None:
             try:
-                r = linalg._invert(system, factor)
+                r = linalg._invert(system, inverse)
             except NumericError:  # near-singular: rho below tells a bad t from a bad system
                 pass
             else:

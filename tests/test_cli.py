@@ -342,6 +342,13 @@ class TestFigure:
     def test_too_small_graph_rejected(self, graph_file):
         assert main(["figure", "--input", graph_file(P2_FILE), "--metric", "shortest"]) == 2
 
+    def test_overflowing_height_is_a_numeric_error(self, graph_file, capsys):
+        # d(1,2) = 3.3e299 squares past the float range.
+        assert main(["figure", "--input", graph_file(P4_FILE), "--metric", "shortest", "--target", "1e300"]) == 3
+        assert capsys.readouterr().err == (
+            "numeric error: shortest: the trapezoid height overflows a float at --target 1e+300\n"
+        )
+
 
 def test_python_dash_m_runs_the_cli(graph_file, capsys):
     argv = ["validate", "--input", graph_file(C4_FILE), "--metric", "shortest", "--json"]
@@ -399,6 +406,12 @@ class TestMetricTable:
     def test_overflowing_forest_scale_names_t(self, graph_file, capsys):
         assert main(["compute", "--input", graph_file(P4_FILE), "--metric", "forest:t=1e308"]) == 2
         assert capsys.readouterr().err == "parameter error: edge-scale parameter t=1e+308 overflows a float in I + tL\n"
+
+    @pytest.mark.parametrize("t", ["1e15", "1e20"])
+    def test_near_singular_forest_scale_names_t(self, graph_file, capsys, t):
+        assert main(["compute", "--input", graph_file(P4_FILE), "--metric", f"forest:t={t}"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"numeric error: edge-scale parameter t={float(t)!r} leaves I + tL too ill-conditioned")
 
 
 class TestCommandFlags:

@@ -12,6 +12,7 @@ from cutmetrics import (
     spectral_data,
     symmetric_pseudoinverse,
 )
+from cutmetrics import linalg
 
 from conftest import clique_edges, k3, p2, p3, p4, path_edges, sized_multigraph
 
@@ -69,14 +70,58 @@ def _positive_definite_systems(n):
     return {"forest": np.eye(n) + 0.7 * lap, "walk": np.eye(n) - (0.5 / rho) * a, "resistance": lap + 1.0 / n}
 
 
+def _schur_indefinite(n, negative_from):
+    """A symmetric matrix of order ``n`` with eigenvalues near +1 before
+    index ``negative_from`` and near -1 from it on: its leading 64-block is
+    positive definite, and the Schur complement that holds the first
+    negative pivot is indefinite."""
+    noise = np.random.default_rng([11, n]).normal(scale=0.01, size=(n, n))
+    return np.diag(np.where(np.arange(n) < negative_from, 1.0, -1.0)) + noise + noise.T
+
+
 class TestCholeskyRoute:
-    @pytest.mark.parametrize("n", [2, 8, 63, 64, 65, 127, 129, 200])
+    """The positive-definite route: a Schur-complement recursion over
+    blocks of order at most 64, each inverted through its Cholesky factor."""
+
+    @pytest.mark.parametrize("n", [2, 8, 63, 64, 65, 127, 129, 200, 257, 400])
     def test_agrees_with_lu(self, n):
         for name, m in _positive_definite_systems(n).items():
             expected = np.linalg.inv(m)
             got = invert(m)
             assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max(), name
-            assert np.array_equal(got, got.T), name  # X^T X, where LU is not exactly symmetric
+            assert np.array_equal(got, got.T), name  # where LU is not exactly symmetric
+
+    @pytest.mark.parametrize(
+        "n, negative_from, leaves",
+        [
+            (65, 64, 2),  # 32-block, then its 33-order complement refuses
+            (128, 64, 2),  # 64-block, then its 64-order complement refuses
+            (200, 64, 2),  # inside the top 100-block: its 50-order complement refuses
+            (200, 150, 4),  # inside the 100-order complement: its own complement refuses
+        ],
+    )
+    def test_indefinite_schur_complement_goes_through_lu(self, monkeypatch, n, negative_from, leaves):
+        m = _schur_indefinite(n, negative_from)
+        np.linalg.cholesky(m[:64, :64])  # raises unless the leading 64-block is positive definite
+        factored = []
+        cholesky = np.linalg.cholesky
+        monkeypatch.setattr(np.linalg, "cholesky", lambda a: factored.append(len(a)) or cholesky(a))
+        assert linalg._pd_inverse(m) is None
+        assert len(factored) == leaves  # the recursion stops at the first leaf that refuses
+        monkeypatch.undo()
+        assert invert(m).tobytes() == np.linalg.inv(m).tobytes()
+
+    def test_inv_only_on_leaves(self, monkeypatch):
+        # Above the leaves every flop is a matmul: numpy.linalg.inv sees only
+        # blocks of order <= 64, and never the whole matrix (the LU route).
+        systems = _positive_definite_systems(200)
+        orders = []
+        inv = np.linalg.inv
+        monkeypatch.setattr(np.linalg, "inv", lambda a: orders.append(len(a)) or inv(a))
+        for name, m in systems.items():
+            orders.clear()
+            invert(m)
+            assert orders == [50, 50, 50, 50], name
 
     def test_symmetric_indefinite_goes_through_lu(self):
         rng = np.random.default_rng(3)

@@ -24,7 +24,7 @@ from cutmetrics import (
 from cutmetrics import distances, linalg, measures
 from cutmetrics.measures import _simple_paths
 
-from conftest import clique_edges, complete, k3, p2, p3, sized_multigraph, triangle_chain
+from conftest import clique_edges, complete, k3, p2, p3, p4, sized_multigraph, triangle_chain
 
 
 class TestPathAccessibility:
@@ -230,6 +230,20 @@ class TestForestMatrix:
             with pytest.raises(ParameterError, match=r"edge-scale parameter t=.* overflows a float in I \+ tL"):
                 build(g, t)
 
+    @pytest.mark.parametrize(
+        "t, refusal",
+        [(1e15, "matrix near-singular: condition estimate"), (1e20, "singular matrix: zero pivot")],
+    )
+    def test_near_singular_edge_scale_names_t(self, t, refusal):
+        # cond(I + tL) grows like t * lambda_max; at 1e20 the unit diagonal
+        # is lost to rounding and I + tL is the singular tL.
+        for build in (forest_matrix, distances.forest_distance, measures._forest_inverse):
+            with pytest.raises(NumericError) as caught:
+                build(p4(), t)
+            message = str(caught.value)
+            assert message.startswith(f"edge-scale parameter t={t!r} leaves I + tL too ill-conditioned to invert: ")
+            assert refusal in message
+
     def test_determinant_overflow_named(self):
         # det(I+L) = 161^159 on K_160 exceeds the float range.
         with pytest.raises(NumericError, match="overflow"):
@@ -267,9 +281,16 @@ class TestWalkMatrix:
 
 
 def _walk_graphs():
-    """Walk test graphs on both sides of order 64, the leaf order of the triangular inverse."""
+    """Walk test graphs on both sides of order 64, the leaf order of the
+    positive-definite inverse, and of order 257, two recursion levels above it."""
     rng = np.random.default_rng(17)
-    return [sized_multigraph(rng, 12, 12), triangle_chain(31), triangle_chain(40), sized_multigraph(rng, 130, 130)]
+    return [
+        sized_multigraph(rng, 12, 12),
+        triangle_chain(31),
+        triangle_chain(40),
+        sized_multigraph(rng, 130, 130),
+        sized_multigraph(rng, 257, 257),
+    ]
 
 
 class TestWalkBound:
