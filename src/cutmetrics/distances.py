@@ -69,11 +69,10 @@ def path_distance(
     refused with the count of violating triples.
     """
     measure = measures.path_accessibility(g, tau, max_vertices)
-    if not measures._transition_test(g, tol)(measure.matrix):
-        report = measures.validate_transitional_measure(g, measure, tol)
+    failures = measures._transition_test(g, tol)(measure.matrix)
+    if failures:
         raise ParameterError(
-            f"tau={tau} fails transitional-measure validation "
-            f"({len(report.violations)} violating triples); try a smaller value"
+            f"tau={tau} fails transitional-measure validation ({failures} violating triples); try a smaller value"
         )
     return log_distance(measure)
 
@@ -177,7 +176,7 @@ def check_metric_axioms(d: DistanceMatrix, tol: float = 1e-9) -> ValidationRepor
     (i, j, k) order.
     """
     v = d.values
-    (triangle,) = measures._gap_triples(v, [_triangle_test(v, tol)], distinct=True, j_major=False)
+    (triangle,) = measures._gap_triples(v, [_triangle_test(v, tol)], distinct=True)
     return _axioms_report(v, tol, triangle)
 
 
@@ -193,7 +192,7 @@ def check_cutpoint_additivity(g: Graph, d: DistanceMatrix, tol: float = 1e-9) ->
     _check_order(g, d)
     x = d.values
     labels = separation_labels(g)
-    (triples,) = measures._gap_triples(x, [_additivity_test(x, labels, tol)], distinct=True, j_major=False)
+    (triples,) = measures._gap_triples(x, [_additivity_test(x, labels, tol)], distinct=True)
     return _additivity_report(x, labels, triples)
 
 
@@ -204,7 +203,7 @@ def _distance_reports(g: Graph, d: DistanceMatrix, labels: np.ndarray, tol: floa
     _check_order(g, d)
     x = d.values
     tests = [_triangle_test(x, tol), _additivity_test(x, labels, tol)]
-    triangle, additive = measures._gap_triples(x, tests, distinct=True, j_major=False)
+    triangle, additive = measures._gap_triples(x, tests, distinct=True)
     return _axioms_report(x, tol, triangle), _additivity_report(x, labels, additive)
 
 

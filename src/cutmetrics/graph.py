@@ -9,7 +9,7 @@ the Laplacian.
 
 from __future__ import annotations
 
-from collections import deque
+from collections import defaultdict, deque
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -41,29 +41,35 @@ class Graph:
     edges: tuple[tuple[int, int, float], ...]
 
     def __post_init__(self) -> None:
-        if int(self.n) != self.n or self.n <= 1:
+        try:
+            n = int(self.n)
+        except (TypeError, ValueError, OverflowError):  # NaN, infinities, non-numbers
+            n = 0
+        if n != self.n or n <= 1:
             raise GraphInputError(f"vertex count must be an integer > 1, got {self.n!r}")
-        object.__setattr__(self, "n", int(self.n))
+        object.__setattr__(self, "n", n)
         canonical = []
-        for u, v, w in self.edges:
-            if int(u) != u or int(v) != v:
-                raise GraphInputError(f"vertex ids must be integers, got ({u!r}, {v!r})")
-            u, v = int(u), int(v)
-            w = float(w)
-            if not (1 <= u <= self.n and 1 <= v <= self.n):
-                raise GraphInputError(f"vertex id out of range 1..{self.n}: edge ({u}, {v})")
-            if not (w > 0.0) or not np.isfinite(w):
-                raise GraphInputError(f"edge ({u}, {v}) has non-positive weight {w!r}")
-            canonical.append((u, v, w))
+        for edge in self.edges:
+            try:
+                u, v, w = edge
+                iu, iv, w = int(u), int(v), float(w)
+            except (TypeError, ValueError, OverflowError):
+                raise GraphInputError(f"edge must be (u, v, w) with numeric entries, got {edge!r}") from None
+            if iu != u or iv != v or not (1 <= iu <= n and 1 <= iv <= n):
+                raise GraphInputError(f"vertex ids must be integers in 1..{n}, got ({u!r}, {v!r})")
+            if not 0.0 < w < np.inf:
+                raise GraphInputError(f"edge ({iu}, {iv}) has non-positive weight {w!r}")
+            canonical.append((iu, iv, w))
         object.__setattr__(self, "edges", tuple(canonical))
         reached = _bfs(self.neighbor_sets(), 1)
-        if len(reached) < self.n:
-            unreached = min(v for v in range(1, self.n + 1) if v not in reached)
+        if len(reached) < n:
+            unreached = next(v for v in range(1, n + 1) if v not in reached)
             raise GraphInputError(f"graph is disconnected: vertex {unreached} unreachable from vertex 1")
 
-    def neighbor_sets(self) -> list[set[int]]:
-        """Adjacency sets indexed 1..n (index 0 unused); loops omitted."""
-        adj: list[set[int]] = [set() for _ in range(self.n + 1)]
+    def neighbor_sets(self) -> defaultdict[int, set[int]]:
+        """Adjacency sets keyed by vertex id, loops omitted.  Only vertices
+        on an edge hold a set, so the memory follows the edges, not n."""
+        adj: defaultdict[int, set[int]] = defaultdict(set)
         for u, v, _ in self.edges:
             if u != v:
                 adj[u].add(v)
@@ -71,7 +77,7 @@ class Graph:
         return adj
 
 
-def _bfs(adj: list[set[int]], start: int, removed: int = 0) -> dict[int, int]:
+def _bfs(adj: dict[int, set[int]], start: int, removed: int = 0) -> dict[int, int]:
     """Hop count from ``start`` to every vertex it reaches without entering
     ``removed`` (0, which is no vertex id, removes nothing)."""
     hops = {start: 0}
@@ -252,21 +258,21 @@ def _separated(labels: np.ndarray, i, j, k) -> np.ndarray:
     return (labels[j, i] != labels[j, k]) | ((i == j) & (j == k))
 
 
-def _separated_at(labels: np.ndarray, j: int) -> np.ndarray:
-    """``_separated`` for the pivot ``j`` over all pairs (i, k), as an n x n
-    array."""
-    row = labels[j]
-    out = row[:, None] != row
-    out[j, j] = True
+def _separated_at(labels: np.ndarray, j: slice) -> np.ndarray:
+    """``_separated`` for the pivots of the slice ``j`` over all pairs
+    (i, k), as a (pivots, n, n) array indexed ``[j, i, k]``."""
+    rows = labels[j]
+    out = rows[:, :, None] != rows[:, None, :]
+    pivots = np.arange(len(labels))[j]
+    out[np.arange(len(pivots)), pivots, pivots] = True
     return out
 
 
 def cutpoint_table(g: Graph) -> np.ndarray:
     """``table[j][i][k] = is_cutpoint_between(g, j, i, k)`` as an (n+1)^3
     boolean array with 1-based ids (index 0 unused), for small graphs."""
-    idx = np.arange(g.n)
     table = np.zeros((g.n + 1,) * 3, dtype=bool)
-    table[1:, 1:, 1:] = _separated(separation_labels(g), idx[None, :, None], idx[:, None, None], idx[None, None, :])
+    table[1:, 1:, 1:] = _separated_at(separation_labels(g), slice(None))
     return table
 
 

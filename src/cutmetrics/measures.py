@@ -38,6 +38,9 @@ PATHS_PER_PAIR_CAP = 4096
 # Distinct edge unions kept by reliability's grouped inclusion-exclusion for
 # one pair; up to 2^m of them, so a pair with few paths can still explode.
 TERMS_PER_PAIR_CAP = 1 << 16
+# Gap entries a triple checker forms at once (at least one pivot's n x n slab):
+# larger blocks make fewer calls per pivot until their temporaries leave the cache.
+_GAP_BLOCK = 1 << 14
 
 
 def _sorted_adjacency(g: Graph) -> list[list[tuple[int, int, float]]]:
@@ -265,51 +268,52 @@ def walk_matrix(g: Graph, t: float) -> TransitionalMeasure:
     a near-singular system.
     """
     a = adjacency_matrix(g)
+    inverse = None
     # rho >= max(A), so a larger t fails the bound and t * A cannot overflow.
     if 0.0 < t < 1.0 / a.max():
         system = np.eye(g.n) - t * a
         inverse = linalg._pd_inverse(system)
         if inverse is not None:
             try:
-                r = linalg._invert(system, inverse)
+                return TransitionalMeasure("walk", linalg._invert(system, inverse), {"t": t})
             except NumericError:  # near-singular: rho below tells a bad t from a bad system
                 pass
-            else:
-                return TransitionalMeasure("walk", r, {"t": t})
     rho = linalg._spectral_radius(a)
     if not 0.0 < t < 1.0 / rho:
         raise ParameterError(f"walk parameter must satisfy 0 < t < 1/rho = {1.0 / rho:.12g}, got {t}")
-    r = linalg.invert(np.eye(g.n) - t * a)
-    return TransitionalMeasure("walk", r, {"t": t})
+    # A positive-definite inverse repeats its O(n^2) condition refusal; LU inverts the rest.
+    return TransitionalMeasure("walk", linalg._invert(np.eye(g.n) - t * a, inverse), {"t": t})
 
 
-def _gap_triples(x: np.ndarray, tests, distinct: bool, j_major: bool) -> list[np.ndarray]:
-    """The kernel of every triple checker: for each pivot ``j``, the triangle
-    gap ``x[i, j] + x[j, k] - x[i, k]`` as one n x n array, formed once for
-    all ``tests``.
+def _gaps(x: np.ndarray, j: slice) -> np.ndarray:
+    """The triangle gaps ``(x[i, j] + x[j, k]) - x[i, k]`` for the pivots
+    of the slice ``j``, as an array indexed ``[j, i, k]``."""
+    return (x.T[j, :, None] + x[j, None, :]) - x
 
-    Returns, for each test, the 0-based rows ``(i, j, k)`` where
-    ``test(gap, j)`` holds, over all triples or only those with i, j, k
-    distinct, ordered by ``(j, i, k)`` if ``j_major`` else by ``(i, j, k)``.
-    """
+
+def _gap_triples(x: np.ndarray, tests, distinct: bool) -> list[np.ndarray]:
+    """The kernel of every triple checker: for each of ``tests``, the 0-based
+    rows ``(i, j, k)`` where ``test(gap, j)`` holds, from the :func:`_gaps`
+    of one block slice ``j`` of pivots at a time, formed once for all tests.
+    All triples come in ``(j, i, k)`` order, or if ``distinct`` the triples
+    of distinct vertices in ``(i, j, k)`` order."""
     n = x.shape[0]
-    other = ~np.eye(n, dtype=bool)
+    step = max(1, _GAP_BLOCK // (n * n))
     hits = [[] for _ in tests]
-    for j in range(n):
-        gap = x[:, j, None] + x[None, j, :] - x
+    for start in range(0, n, step):
+        block = slice(start, start + step)
+        gap = _gaps(x, block)
         for test, found in zip(tests, hits):
-            bad = test(gap, j)
-            if distinct:
-                bad &= other
-                bad[j, :] = bad[:, j] = False
-            found.append(np.flatnonzero(bad))
-    return [_ordered(found, n, j_major) for found in hits]
-
-
-def _ordered(hits: list[np.ndarray], n: int, j_major: bool) -> np.ndarray:
-    flat = np.concatenate([np.empty(0, dtype=np.intp), *hits])
-    triples = np.column_stack((flat // n, np.repeat(np.arange(n), [len(h) for h in hits]), flat % n))
-    return triples if j_major else triples[np.lexsort(triples.T[::-1])]
+            found.append(start * n * n + np.flatnonzero(test(gap, block)))
+    out = []
+    for found in hits:
+        j, i, k = np.unravel_index(np.concatenate(found), (n, n, n))
+        triples = np.column_stack((i, j, k))
+        if distinct:
+            triples = triples[(i != j) & (j != k) & (i != k)]
+            triples = triples[np.lexsort(triples.T[::-1])]
+        out.append(triples)
+    return out
 
 
 def _report(triples: np.ndarray, lhs: np.ndarray, rhs: np.ndarray, expected: np.ndarray) -> ValidationReport:
@@ -317,11 +321,12 @@ def _report(triples: np.ndarray, lhs: np.ndarray, rhs: np.ndarray, expected: np.
     return ValidationReport._from_columns(triples + 1, lhs, rhs, expected)
 
 
-def _transition_fails(gap: np.ndarray, separated: np.ndarray, tol: float) -> np.ndarray:
-    """The failure rule of the measure check on the log gaps
-    ``ln S_ik + ln S_jj - ln S_ij - ln S_jk = ln(rhs / lhs)``: the inequality
-    is broken beyond ``tol``, or equality within ``tol`` disagrees with
-    whether ``j`` separates ``i`` from ``k``."""
+def _transition_fails(h: np.ndarray, gap: np.ndarray, j: slice, separated: np.ndarray, tol: float) -> np.ndarray:
+    """The failure rule of the measure check at the pivots ``j``, from the
+    :func:`_gaps` of ``h = ln S`` and the :func:`_separated_at` mask: the log
+    gap ``ln S_ik + ln S_jj - ln S_ij - ln S_jk = ln(rhs / lhs)`` breaks the
+    inequality beyond ``tol``, or its equality within ``tol`` disagrees with the mask."""
+    gap = h.diagonal()[j, None, None] - gap
     return (gap < -tol) | ((np.abs(gap) <= tol) != separated)
 
 
@@ -330,30 +335,27 @@ def _transition_report(s: np.ndarray, labels: np.ndarray, tol: float) -> Validat
     graph's :func:`separation_labels`."""
     h = np.log(s)
 
-    def fails(kernel: np.ndarray, j: int) -> np.ndarray:
-        return _transition_fails(h[j, j] - kernel, _separated_at(labels, j), tol)
+    def fails(gap: np.ndarray, j: slice) -> np.ndarray:
+        return _transition_fails(h, gap, j, _separated_at(labels, j), tol)
 
-    (triples,) = _gap_triples(h, [fails], distinct=False, j_major=True)
+    (triples,) = _gap_triples(h, [fails], distinct=False)
     i, j, k = triples.T
     with np.errstate(over="ignore"):  # products of huge entries may overflow; their logs do not
         return _report(triples, s[i, j] * s[j, k], s[i, k] * s[j, j], _separated(labels, i, j, k))
 
 
 def _transition_test(g: Graph, tol: float):
-    """The verdict of :func:`validate_transitional_measure` without its
-    report: a function of a measure matrix that tests every triple in one
-    broadcast pass, with the gaps of :func:`_transition_report` in the same
-    float expression order.  The separation mask takes n^3 bytes."""
-    idx = np.arange(g.n)
-    # separated[j, i, k]: j separates i from k.
-    separated = _separated(separation_labels(g), idx[None, :, None], idx[:, None, None], idx[None, None, :])
+    """:func:`validate_transitional_measure` without its report: a function
+    of a measure matrix that counts the failing triples, with all pivots in
+    one block.  The separation mask takes n^3 bytes."""
+    every = slice(None)
+    separated = _separated_at(separation_labels(g), every)
 
-    def passes(s: np.ndarray) -> bool:
+    def failures(s: np.ndarray) -> int:
         h = np.log(s)
-        gap = h.diagonal()[:, None, None] - ((h.T[:, :, None] + h[:, None, :]) - h)
-        return not _transition_fails(gap, separated, tol).any()
+        return int(np.count_nonzero(_transition_fails(h, _gaps(h, every), every, separated, tol)))
 
-    return passes
+    return failures
 
 
 def validate_transitional_measure(
@@ -398,12 +400,12 @@ def find_tau_threshold(
     start = 1.0 / linalg._spectral_radius(adjacency_matrix(g))
     # The first sample raises above the vertex cap, before the mask exists.
     first = path_accessibility(g, start, max_vertices).matrix
-    transitional = _transition_test(g, tol)
+    failures = _transition_test(g, tol)
 
     def passes(tau: float) -> bool:
-        return transitional(path_accessibility(g, tau, max_vertices).matrix)
+        return not failures(path_accessibility(g, tau, max_vertices).matrix)
 
-    if transitional(first):
+    if not failures(first):
         lo, hi = start, 2.0 * start
         doublings = 0
         while passes(hi):

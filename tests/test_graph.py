@@ -1,4 +1,5 @@
 import sys
+import tracemalloc
 
 import networkx as nx
 import numpy as np
@@ -41,6 +42,17 @@ class TestParseGraph:
     def test_disconnected_rejected(self):
         with pytest.raises(GraphInputError, match="disconnected"):
             parse_graph("3\n1 2 1")
+
+    def test_unconnectable_vertex_count_refused_in_memory_of_the_edges(self):
+        tracemalloc.start()
+        try:
+            with pytest.raises(GraphInputError) as refused:
+                parse_graph("1000000\n1 2 1")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(refused.value) == "graph is disconnected: vertex 3 unreachable from vertex 1"
+        assert peak < 1 << 20
 
     def test_nonpositive_weight(self):
         with pytest.raises(GraphInputError, match="line 2"):
@@ -277,6 +289,22 @@ class TestGraphConstruction:
     def test_rejects_nonpositive_weight(self):
         with pytest.raises(GraphInputError):
             Graph(2, ((1, 2, -1.0),))
+
+    @pytest.mark.parametrize(
+        "n, edges",
+        [
+            (float("nan"), ((1, 2, 1.0),)),
+            (float("inf"), ((1, 2, 1.0),)),
+            (2, ((float("nan"), 2, 1.0),)),
+            (2, ((1, 2, "x"),)),
+            (2, ((1, 2, None),)),
+            (2, ((1, 2),)),
+        ],
+        ids=["nan-count", "infinite-count", "nan-id", "text-weight", "none-weight", "two-entry-edge"],
+    )
+    def test_rejects_malformed_values_with_a_typed_error(self, n, edges):
+        with pytest.raises(GraphInputError):
+            Graph(n, edges)
 
     def test_rejects_single_vertex(self):
         with pytest.raises(GraphInputError):

@@ -309,6 +309,18 @@ class TestWalkBound:
                     call(g, t)
                 assert str(caught.value) == message
 
+    def test_refusal_near_radius_inverts_once(self, monkeypatch):
+        # Order 257 splits into five leaves.  After the rho check the kept
+        # inverse repeats its condition refusal; nothing is inverted again.
+        g = _walk_graphs()[-1]
+        t = (1.0 - 1e-12) / linalg._spectral_radius(adjacency_matrix(g))
+        calls = []
+        cholesky = np.linalg.cholesky
+        monkeypatch.setattr(np.linalg, "cholesky", lambda a: calls.append(len(a)) or cholesky(a))
+        with pytest.raises(NumericError, match="near-singular: condition estimate"):
+            walk_matrix(g, t)
+        assert len(calls) == 5
+
     def test_valid_t_computes_no_spectral_radius(self, monkeypatch):
         graphs = _walk_graphs()
         radii = [linalg._spectral_radius(adjacency_matrix(g)) for g in graphs]

@@ -21,6 +21,7 @@ from cutmetrics import (
     forest_matrix,
     is_cutpoint_between,
     log_distance,
+    long_walk_distance,
     path_accessibility,
     resistance_distance,
     separation_labels,
@@ -31,6 +32,7 @@ from cutmetrics import (
     walk_matrix,
 )
 
+from cutmetrics.distances import LONG_WALK_RTOL
 from cutmetrics.graph import _block_cut_tree
 from cutmetrics.types import MEASURE_KINDS, _symmetric
 
@@ -282,3 +284,59 @@ def test_forest_and_walk_distances_tend_to_shortest_walk_weights(g):
     for family in (forest_distance, walk_distance):
         errors = [np.max(np.abs(family(g, t).values + h * np.log(t) - limit)[off]) for t in SMALL_T]
         _assert_decade_rate(errors, scale)
+
+
+@st.composite
+def regular_graphs(draw):
+    """Weighted circulant multigraphs: vertex v is joined to v + s (mod n)
+    for offset 1 and up to three more, with one weight per offset and
+    possibly one loop of a common weight at every vertex, so that every
+    vertex has the same weighted degree."""
+    n = draw(st.integers(3, 10))
+    weight = st.floats(0.3, 0.95)
+    edges = []
+    for s in sorted({1} | draw(st.sets(st.integers(1, n // 2), max_size=3))):
+        w = draw(weight)
+        edges += [(v, (v + s - 1) % n + 1, w) for v in range(1, n + 1)]
+    if draw(st.booleans()):
+        w = draw(weight)
+        edges += [(v, v, w) for v in range(1, n + 1)]
+    return Graph(n, tuple(edges))
+
+
+def _long_walk_values(g):
+    """``long_walk_distance(g).values``, or None where it refuses with its
+    documented NumericError; any other error fails the caller."""
+    try:
+        return long_walk_distance(g).values
+    except NumericError:
+        return None
+
+
+def _assert_within_long_walk_contract(got, expected):
+    off = ~np.eye(len(got), dtype=bool)
+    assert np.max(np.abs(got - expected)[off] / np.abs(expected)[off]) <= LONG_WALK_RTOL
+
+
+@PROPERTY_SETTINGS
+@given(g=connected_graphs(max_n=10))
+def test_long_walk_distance_is_perron_reweighted_resistance_over_n(g):
+    # With p the unit Perron vector and w_ik = p_i a_ik p_k, the Laplacian
+    # of w is diag(p) (rho I - A) diag(p), so the closed form is R_w / n.
+    values = _long_walk_values(g)
+    if values is None:
+        return
+    perron = spectral_data(adjacency_matrix(g)).perron
+    p = perron / np.linalg.norm(perron)
+    reweighted = Graph(g.n, tuple((u, v, p[u - 1] * w * p[v - 1]) for u, v, w in g.edges))
+    _assert_within_long_walk_contract(values, resistance_distance(reweighted).values / g.n)
+
+
+@PROPERTY_SETTINGS
+@given(g=regular_graphs())
+def test_long_walk_distance_is_resistance_on_regular_graphs(g):
+    # A constant Perron vector makes w = A / n above, so R_w / n = R.
+    values = _long_walk_values(g)
+    if values is None:
+        return
+    _assert_within_long_walk_contract(values, resistance_distance(g).values)
