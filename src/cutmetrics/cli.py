@@ -26,7 +26,6 @@ import numpy as np
 from . import distances, measures
 from .errors import GraphInputError, NumericError, ParameterError
 from .graph import Graph, parse_graph, separation_labels, shortest_path_lengths
-from .types import ValidationReport
 
 __all__ = ["main", "entry_point"]
 
@@ -194,18 +193,12 @@ def _cmd_validate(args: argparse.Namespace) -> int:
         raise _UsageError("validate takes exactly one metric")
     name, params = specs[0]
     metric = _METRICS[name]
-    tol = args.tol if args.tol is not None else metric.tol
+    tol = measures._tolerance(args.tol if args.tol is not None else metric.tol)
 
-    checks: list[tuple[str, ValidationReport]] = []
     measure = None if metric.measure is None else _build(g, name, params, "measure")
-    labels = separation_labels(g)
-    if measure is not None:
-        checks.append(("transitional-measure", measures._transition_report(measure.matrix, labels, tol)))
-        d = distances.log_distance(measure)
-    else:
-        d = _build(g, name, params)
-    axioms, additivity = distances._distance_reports(g, d, labels, tol)
-    checks += [("metric-axioms", axioms), ("cutpoint-additivity", additivity)]
+    d = _build(g, name, params) if measure is None else distances.log_distance(measure)
+    names = ("transitional-measure",) * (measure is not None) + ("metric-axioms", "cutpoint-additivity")
+    checks = list(zip(names, distances._distance_reports(g, d, separation_labels(g), tol, measure)))
 
     passed = all(report.passed for _, report in checks)
     if args.json:
@@ -260,7 +253,7 @@ def _cmd_figure(args: argparse.Namespace) -> int:
     pairs = _parse_pairs(args.pairs)
     lines = ["metric,vertex,x,y"]
     for name, params in specs:
-        tol = args.tol if args.tol is not None else _METRICS[name].tol
+        tol = measures._tolerance(args.tol if args.tol is not None else _METRICS[name].tol)
         d = distances.normalize_distances(_build(g, name, params), pairs, args.target)
         d12, d34 = d.value(1, 2), d.value(3, 4)
         if abs(d12 - d34) > tol * max(abs(d12), abs(d34)) + 1e-12:

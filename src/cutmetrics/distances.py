@@ -50,10 +50,7 @@ def log_distance(s: TransitionalMeasure) -> DistanceMatrix:
     m = s.matrix
     if np.any(m <= 0.0):
         raise NumericError(f"log transform requires strictly positive entries ({s.kind} measure)")
-    h = np.log(m)
-    diag = np.diag(h)
-    values = 0.5 * (diag[:, None] + diag[None, :] - h - h.T)
-    return DistanceMatrix(values, s.kind, dict(s.params))
+    return DistanceMatrix(measures._log_distance(m), s.kind, dict(s.params))
 
 
 def path_distance(
@@ -68,6 +65,7 @@ def path_distance(
     validated first, every triple in one pass, and an invalid choice is
     refused with the count of violating triples.
     """
+    measures._tolerance(tol)
     measure = measures.path_accessibility(g, tau, max_vertices)
     failures = measures._transition_test(g, tol)(measure.matrix)
     if failures:
@@ -176,7 +174,8 @@ def check_metric_axioms(d: DistanceMatrix, tol: float = 1e-9) -> ValidationRepor
     (i, j, k) order.
     """
     v = d.values
-    (triangle,) = measures._gap_triples(v, [_triangle_test(v, tol)], distinct=True)
+    measures._tolerance(tol)
+    (triangle,) = measures._gap_triples(v, [(_triangle_test(v, tol), True)])
     return _axioms_report(v, tol, triangle)
 
 
@@ -190,21 +189,25 @@ def check_cutpoint_additivity(g: Graph, d: DistanceMatrix, tol: float = 1e-9) ->
     order; the ``expected_equal`` flag tells which direction failed.
     """
     _check_order(g, d)
+    measures._tolerance(tol)
     x = d.values
     labels = separation_labels(g)
-    (triples,) = measures._gap_triples(x, [_additivity_test(x, labels, tol)], distinct=True)
+    (triples,) = measures._gap_triples(x, [(_additivity_test(x, labels, tol), True)])
     return _additivity_report(x, labels, triples)
 
 
-def _distance_reports(g: Graph, d: DistanceMatrix, labels: np.ndarray, tol: float):
-    """``(check_metric_axioms(d, tol), check_cutpoint_additivity(g, d, tol))``
+def _distance_reports(g: Graph, d: DistanceMatrix, labels: np.ndarray, tol: float, measure=None):
+    """``[check_metric_axioms(d, tol), check_cutpoint_additivity(g, d, tol)]``
     from one pass over the triangle gaps, given the graph's
-    :func:`separation_labels`."""
+    :func:`separation_labels`; given the ``measure`` whose log distance is
+    ``d``, its ``validate_transitional_measure`` comes first, from the same pass."""
     _check_order(g, d)
     x = d.values
-    tests = [_triangle_test(x, tol), _additivity_test(x, labels, tol)]
-    triangle, additive = measures._gap_triples(x, tests, distinct=True)
-    return _axioms_report(x, tol, triangle), _additivity_report(x, labels, additive)
+    tests = [(_triangle_test(x, tol), True), (_additivity_test(x, labels, tol), True)]
+    rule = [] if measure is None else [(measures._transition_rule(labels, tol), False)]
+    *transition, triangle, additive = measures._gap_triples(x, rule + tests)
+    reports = [measures._transition_report(measure.matrix, labels, triples) for triples in transition]
+    return reports + [_axioms_report(x, tol, triangle), _additivity_report(x, labels, additive)]
 
 
 def _check_order(g: Graph, d: DistanceMatrix) -> None:

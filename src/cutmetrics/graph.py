@@ -33,7 +33,7 @@ __all__ = [
 class Graph:
     """Connected weighted multigraph with vertices ``1..n``.
 
-    ``edges`` is a sequence of ``(u, v, w)`` triples with ``w > 0``;
+    ``edges`` is a sequence of ``(u, v, w)`` triples with finite ``w > 0``;
     repeated ``(u, v)`` pairs are parallel edges and ``u == v`` is a loop.
     """
 
@@ -58,7 +58,8 @@ class Graph:
             if iu != u or iv != v or not (1 <= iu <= n and 1 <= iv <= n):
                 raise GraphInputError(f"vertex ids must be integers in 1..{n}, got ({u!r}, {v!r})")
             if not 0.0 < w < np.inf:
-                raise GraphInputError(f"edge ({iu}, {iv}) has non-positive weight {w!r}")
+                kind = "non-positive" if w <= 0.0 else "non-finite"
+                raise GraphInputError(f"edge ({iu}, {iv}) has {kind} weight {w!r}")
             canonical.append((iu, iv, w))
         object.__setattr__(self, "edges", tuple(canonical))
         reached = _bfs(self.neighbor_sets(), 1)
@@ -96,7 +97,7 @@ def parse_graph(text: str) -> Graph:
 
     Format: ``#`` lines and blank lines are ignored; the first significant
     line is the vertex count ``n``; every following significant line is
-    ``u v w`` with 1-based integer ids and a decimal weight ``w > 0``.
+    ``u v w`` with 1-based integer ids and a finite decimal weight ``w > 0``.
     Repeated ``u v`` lines are parallel edges, ``u u w`` is a loop.
 
     Raises :class:`GraphInputError` with the offending line number on
@@ -126,8 +127,8 @@ def parse_graph(text: str) -> Graph:
             raise GraphInputError(f"line {lineno}: expected 'u v w', got {line!r}") from None
         if not (1 <= u <= n and 1 <= v <= n):
             raise GraphInputError(f"line {lineno}: vertex id out of range 1..{n}")
-        if not (w > 0.0):
-            raise GraphInputError(f"line {lineno}: weight must be positive, got {parts[2]}")
+        if not 0.0 < w < np.inf:
+            raise GraphInputError(f"line {lineno}: weight must be positive and finite, got {parts[2]}")
         edges.append((u, v, w))
     if n is None:
         raise GraphInputError("empty document: vertex count line missing")

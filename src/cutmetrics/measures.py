@@ -4,7 +4,8 @@ inequality and bottleneck identity.
 Each measure is a strictly positive symmetric matrix S over the vertices.
 The defining property, verified by :func:`validate_transitional_measure`,
 is ``S[i,j] * S[j,k] <= S[i,k] * S[j,j]`` for all triples, with equality
-exactly when every path from ``i`` to ``k`` passes through ``j``.
+exactly when every path from ``i`` to ``k`` passes through ``j``: the
+triangle inequality of the log distance d, ``d_ij + d_jk - d_ik = ln(S_ik S_jj / S_ij S_jk)``.
 
 Path and reliability values are sums over one explicit simple-path
 enumeration, :func:`_simple_paths`, run once per source vertex, and
@@ -291,22 +292,22 @@ def _gaps(x: np.ndarray, j: slice) -> np.ndarray:
     return (x.T[j, :, None] + x[j, None, :]) - x
 
 
-def _gap_triples(x: np.ndarray, tests, distinct: bool) -> list[np.ndarray]:
-    """The kernel of every triple checker: for each of ``tests``, the 0-based
-    rows ``(i, j, k)`` where ``test(gap, j)`` holds, from the :func:`_gaps`
-    of one block slice ``j`` of pivots at a time, formed once for all tests.
-    All triples come in ``(j, i, k)`` order, or if ``distinct`` the triples
-    of distinct vertices in ``(i, j, k)`` order."""
+def _gap_triples(x: np.ndarray, tests) -> list[np.ndarray]:
+    """The kernel of every triple checker: for each ``(test, distinct)`` of
+    ``tests``, the 0-based rows ``(i, j, k)`` where ``test(gap, j)`` holds,
+    from the :func:`_gaps` of one block slice ``j`` of pivots at a time,
+    formed once for all tests.  All triples come in ``(j, i, k)`` order, or
+    if ``distinct`` the triples of distinct vertices in ``(i, j, k)`` order."""
     n = x.shape[0]
     step = max(1, _GAP_BLOCK // (n * n))
     hits = [[] for _ in tests]
     for start in range(0, n, step):
         block = slice(start, start + step)
         gap = _gaps(x, block)
-        for test, found in zip(tests, hits):
+        for (test, _), found in zip(tests, hits):
             found.append(start * n * n + np.flatnonzero(test(gap, block)))
     out = []
-    for found in hits:
+    for (_, distinct), found in zip(tests, hits):
         j, i, k = np.unravel_index(np.concatenate(found), (n, n, n))
         triples = np.column_stack((i, j, k))
         if distinct:
@@ -321,24 +322,35 @@ def _report(triples: np.ndarray, lhs: np.ndarray, rhs: np.ndarray, expected: np.
     return ValidationReport._from_columns(triples + 1, lhs, rhs, expected)
 
 
-def _transition_fails(h: np.ndarray, gap: np.ndarray, j: slice, separated: np.ndarray, tol: float) -> np.ndarray:
-    """The failure rule of the measure check at the pivots ``j``, from the
-    :func:`_gaps` of ``h = ln S`` and the :func:`_separated_at` mask: the log
-    gap ``ln S_ik + ln S_jj - ln S_ij - ln S_jk = ln(rhs / lhs)`` breaks the
-    inequality beyond ``tol``, or its equality within ``tol`` disagrees with the mask."""
-    gap = h.diagonal()[j, None, None] - gap
+def _tolerance(tol: float) -> float:
+    """A checker's ``tol``, refused unless it lies in [0, inf)."""
+    if not 0.0 <= tol < math.inf:
+        raise ParameterError(f"tolerance must lie in [0, inf), got {tol!r}")
+    return tol
+
+
+def _log_distance(s: np.ndarray) -> np.ndarray:
+    """The log distance ``(ln S_ii + ln S_jj - ln S_ij - ln S_ji) / 2`` of a
+    positive matrix ``s``, as an array."""
+    h = np.log(s)
+    diag = np.diag(h)
+    return 0.5 * (diag[:, None] + diag[None, :] - h - h.T)
+
+
+def _transition_fails(gap: np.ndarray, separated: np.ndarray, tol: float) -> np.ndarray:
+    """The measure check's failure rule on the :func:`_gaps` of its log distance,
+    ``ln(rhs / lhs)``: below ``-tol``, or equal within ``tol`` where the
+    :func:`_separated_at` mask says otherwise."""
     return (gap < -tol) | ((np.abs(gap) <= tol) != separated)
 
 
-def _transition_report(s: np.ndarray, labels: np.ndarray, tol: float) -> ValidationReport:
-    """:func:`validate_transitional_measure` of the matrix ``s``, given the
-    graph's :func:`separation_labels`."""
-    h = np.log(s)
+def _transition_rule(labels: np.ndarray, tol: float):
+    """The measure check as a :func:`_gap_triples` test, given :func:`separation_labels`."""
+    return lambda gap, j: _transition_fails(gap, _separated_at(labels, j), tol)
 
-    def fails(gap: np.ndarray, j: slice) -> np.ndarray:
-        return _transition_fails(h, gap, j, _separated_at(labels, j), tol)
 
-    (triples,) = _gap_triples(h, [fails], distinct=False)
+def _transition_report(s: np.ndarray, labels: np.ndarray, triples: np.ndarray) -> ValidationReport:
+    """The measure report of the matrix ``s`` at its failing ``triples``."""
     i, j, k = triples.T
     with np.errstate(over="ignore"):  # products of huge entries may overflow; their logs do not
         return _report(triples, s[i, j] * s[j, k], s[i, k] * s[j, j], _separated(labels, i, j, k))
@@ -350,12 +362,7 @@ def _transition_test(g: Graph, tol: float):
     one block.  The separation mask takes n^3 bytes."""
     every = slice(None)
     separated = _separated_at(separation_labels(g), every)
-
-    def failures(s: np.ndarray) -> int:
-        h = np.log(s)
-        return int(np.count_nonzero(_transition_fails(h, _gaps(h, every), every, separated, tol)))
-
-    return failures
+    return lambda s: int(np.count_nonzero(_transition_fails(_gaps(_log_distance(s), every), separated, tol)))
 
 
 def validate_transitional_measure(
@@ -369,12 +376,16 @@ def validate_transitional_measure(
     every i-to-k path contains ``j``.  The comparison is made in log
     space, ``|ln S_ik + ln S_jj - ln S_ij - ln S_jk| <= tol``, which is
     relative with no absolute floor, so neither tiny nor huge entries
-    distort it.  Violations carry lhs = S_ij S_jk and rhs = S_ik S_jj, in
-    (j, i, k) order.  All violations are reported, none raised.
+    distort it; read as the triangle gap of the log distance, it judges
+    ln S symmetrized, as the distance does.  Violations carry lhs = S_ij S_jk
+    and rhs = S_ik S_jj, in (j, i, k) order.  All are reported, none raised.
     """
     if s.order != g.n:
         raise ParameterError(f"measure order {s.order} does not match graph order {g.n}")
-    return _transition_report(s.matrix, separation_labels(g), tol)
+    _tolerance(tol)
+    labels = separation_labels(g)
+    (triples,) = _gap_triples(_log_distance(s.matrix), [(_transition_rule(labels, tol), False)])
+    return _transition_report(s.matrix, labels, triples)
 
 
 def find_tau_threshold(
@@ -396,6 +407,7 @@ def find_tau_threshold(
     """
     if not precision > 0.0:
         raise ParameterError(f"precision must be positive, got {precision}")
+    _tolerance(tol)
 
     start = 1.0 / linalg._spectral_radius(adjacency_matrix(g))
     # The first sample raises above the vertex cap, before the mask exists.

@@ -24,6 +24,15 @@ def k3():
     return Graph(3, ((1, 2, 1.0), (2, 3, 1.0), (1, 3, 1.0)))
 
 
+def paw():
+    # The triangle 1-2-3 with the pendant edge 3-4.
+    return Graph(4, ((1, 2, 1.0), (2, 3, 1.0), (3, 4, 1.0), (1, 3, 1.0)))
+
+
+# Checker tolerances outside [0, inf), which every checker refuses.
+OUT_OF_RANGE_TOLERANCES = (float("nan"), -1.0, float("inf"))
+
+
 def c4():
     return Graph(4, ((1, 2, 1.0), (2, 3, 1.0), (3, 4, 1.0), (1, 4, 1.0)))
 

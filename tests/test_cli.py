@@ -22,6 +22,8 @@ P4W_FILE = "4\n1 2 0.5\n2 3 0.5\n3 4 0.5\n"
 C4_FILE = "4\n1 2 1\n2 3 1\n3 4 1\n1 4 1\n"
 K3_FILE = "3\n1 2 1\n2 3 1\n1 3 1\n"
 DIAMOND_FILE = "4\n1 2 1\n1 3 1\n2 3 1\n2 4 1\n3 4 1\n"
+# The triangle 1-2-3 with the pendant edge 3-4, where d(1,2) != d(3,4).
+PAW_FILE = "4\n1 2 1\n2 3 1\n3 4 1\n1 3 1\n"
 
 
 @pytest.fixture
@@ -292,6 +294,21 @@ class TestCompare:
         assert "usage error" in capsys.readouterr().err
 
 
+class TestOneGapPass:
+    @pytest.mark.parametrize(
+        "metric", ["forest", "walk:t=0.4", "path:tau=0.3", "reliability", "resistance", "shortest", "longwalk"]
+    )
+    def test_validate_forms_the_triangle_gaps_once(self, graph_file, tmp_path, monkeypatch, metric):
+        # The measure check reads the gaps of the log distance, so it shares
+        # the distance checkers' pass.
+        calls = []
+        original = measures._gap_triples
+        monkeypatch.setattr(measures, "_gap_triples", lambda *a, **kw: calls.append(a) or original(*a, **kw))
+        out = str(tmp_path / "report.txt")
+        assert main(["validate", "--input", graph_file(P4W_FILE), "--metric", metric, "--output", out]) == 0
+        assert len(calls) == 1
+
+
 class TestFigure:
     def test_p4_additive_metrics_collapse_flat(self, graph_file, tmp_path):
         out = str(tmp_path / "coords.csv")
@@ -448,6 +465,13 @@ class TestCommandFlags:
     def test_target_outside_positive_finite_exits_2(self, graph_file, capsys, target):
         assert main(["compare", "--input", graph_file(P4_FILE), "--metric", "shortest", "--target", target]) == 2
         assert "normalization target must be positive and finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["validate", "figure"])
+    @pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
+    def test_tolerance_outside_range_exits_2(self, graph_file, capsys, command, tol):
+        # figure --tol nan used to accept the paw's d(1,2) != d(3,4).
+        assert main([command, "--input", graph_file(PAW_FILE), "--metric", "forest", "--tol", tol]) == 2
+        assert capsys.readouterr().err == f"parameter error: tolerance must lie in [0, inf), got {float(tol)!r}\n"
 
 
 class TestParser:

@@ -35,7 +35,7 @@ from cutmetrics import (
 from cutmetrics import distances, measures
 from cutmetrics.types import ValidationReport, Violation
 
-from conftest import c4, clique_edges, complete, diamond, k3, p2, p3, p4, path_edges, star4
+from conftest import OUT_OF_RANGE_TOLERANCES, c4, clique_edges, complete, diamond, k3, p2, p3, p4, path_edges, paw, star4
 
 
 class TestLogDistance:
@@ -125,6 +125,11 @@ class TestDistanceFamilies:
     def test_path_distance_refuses_invalid_tau(self):
         with pytest.raises(ParameterError, match="fails"):
             path_distance(k3(), 0.7)
+
+    @pytest.mark.parametrize("tol", OUT_OF_RANGE_TOLERANCES)
+    def test_path_distance_refuses_tolerance_outside_range(self, tol):
+        with pytest.raises(ParameterError, match=r"tolerance must lie in \[0, inf\)"):
+            path_distance(paw(), 0.3, tol)
 
     def test_path_distance_valid_tau(self):
         d = path_distance(k3(), 0.5)
@@ -388,6 +393,29 @@ class TestMergedDistancePass:
                 axioms, additivity = distances._distance_reports(g, d, labels, 1e-9)
                 assert _exact(axioms) == _exact(check_metric_axioms(d, 1e-9))
                 assert _exact(additivity) == _exact(check_cutpoint_additivity(g, d, 1e-9))
+
+    def test_measure_report_equals_the_public_checker(self, corpus):
+        for g in corpus:
+            labels = separation_labels(g)
+            for measure in (measures._forest_inverse(g, 1.0), path_accessibility(g, 0.7)):
+                d = log_distance(measure)
+                transition, axioms, additivity = distances._distance_reports(g, d, labels, 1e-9, measure)
+                assert _exact(transition) == _exact(validate_transitional_measure(g, measure, 1e-9))
+                assert _exact(axioms) == _exact(check_metric_axioms(d, 1e-9))
+                assert _exact(additivity) == _exact(check_cutpoint_additivity(g, d, 1e-9))
+
+    @pytest.mark.parametrize("tol", OUT_OF_RANGE_TOLERANCES)
+    @pytest.mark.parametrize("checker", ["axioms", "additivity"])
+    def test_tolerance_outside_range_refused(self, checker, tol):
+        # Before the refusal nan passed silently, -1 failed 30 triangle
+        # triples of the correct forest distance, and inf raised a warning.
+        g = paw()
+        d = forest_distance(g)
+        with pytest.raises(ParameterError, match=r"tolerance must lie in \[0, inf\)"):
+            if checker == "axioms":
+                check_metric_axioms(d, tol)
+            else:
+                check_cutpoint_additivity(g, d, tol)
 
     def test_order_mismatch_rejected(self):
         with pytest.raises(ParameterError):

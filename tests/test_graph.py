@@ -58,6 +58,12 @@ class TestParseGraph:
         with pytest.raises(GraphInputError, match="line 2"):
             parse_graph("2\n1 2 0")
 
+    @pytest.mark.parametrize("weight", ["inf", "1e309", "nan"])
+    def test_non_finite_weight_reports_line(self, weight):
+        with pytest.raises(GraphInputError) as refused:
+            parse_graph(f"3\n1 2 {weight}\n2 3 1\n")
+        assert str(refused.value) == f"line 2: weight must be positive and finite, got {weight}"
+
     def test_vertex_out_of_range(self):
         with pytest.raises(GraphInputError, match="line 2"):
             parse_graph("2\n1 3 1")
@@ -289,6 +295,12 @@ class TestGraphConstruction:
     def test_rejects_nonpositive_weight(self):
         with pytest.raises(GraphInputError):
             Graph(2, ((1, 2, -1.0),))
+
+    @pytest.mark.parametrize("weight", [float("inf"), float("nan")])
+    def test_non_finite_weight_worded_non_finite(self, weight):
+        with pytest.raises(GraphInputError) as refused:
+            Graph(2, ((1, 2, weight),))
+        assert str(refused.value) == f"edge (1, 2) has non-finite weight {weight!r}"
 
     @pytest.mark.parametrize(
         "n, edges",

@@ -9,11 +9,13 @@ from cutmetrics import (
     Graph,
     NumericError,
     ParameterError,
+    TransitionalMeasure,
     adjacency_matrix,
     connection_reliability,
     enumerate_paths,
     find_tau_threshold,
     forest_matrix,
+    is_cutpoint_between,
     parse_graph,
     path_accessibility,
     reliability_by_edge_states,
@@ -24,7 +26,18 @@ from cutmetrics import (
 from cutmetrics import distances, linalg, measures
 from cutmetrics.measures import _simple_paths
 
-from conftest import clique_edges, complete, k3, p2, p3, p4, sized_multigraph, triangle_chain
+from conftest import (
+    OUT_OF_RANGE_TOLERANCES,
+    clique_edges,
+    complete,
+    k3,
+    p2,
+    p3,
+    p4,
+    paw,
+    sized_multigraph,
+    triangle_chain,
+)
 
 
 class TestPathAccessibility:
@@ -408,6 +421,43 @@ class TestValidateTransitionalMeasure:
             assert v.lhs == s[v.i - 1, v.j - 1] * s[v.j - 1, v.k - 1]
             assert v.rhs == s[v.i - 1, v.k - 1] * s[v.j - 1, v.j - 1]
 
+    def test_matches_scalar_loop_on_log_measure(self, corpus):
+        # The checker reads the triangle gaps of the log distance; the loop
+        # forms ln S_ik + ln S_jj - ln S_ij - ln S_jk itself.  The spoiled
+        # measures have S_ij^2 > S_ii S_jj, which fails triples with i == k.
+        tol = 1e-9
+        loops = 0
+        for seed, g in enumerate(corpus[::3]):
+            s = forest_matrix(g).matrix
+            noise = np.random.default_rng(seed).uniform(0.5, 1.5, s.shape)
+            spoiled = TransitionalMeasure("forest", s * (noise + noise.T) / 2.0)
+            for measure in (forest_matrix(g), path_accessibility(g, 0.7), spoiled):
+                rows = _scalar_transition_rows(g, measure.matrix, tol)
+                report = validate_transitional_measure(g, measure, tol)
+                assert [(v.i, v.j, v.k, v.lhs, v.rhs, v.expected_equal) for v in report.violations] == rows
+                loops += sum(v.i == v.k != v.j for v in report.violations)
+        assert loops > 0
+
+    @pytest.mark.parametrize("tol", OUT_OF_RANGE_TOLERANCES)
+    def test_tolerance_outside_range_refused(self, tol):
+        with pytest.raises(ParameterError, match=r"tolerance must lie in \[0, inf\)"):
+            validate_transitional_measure(paw(), forest_matrix(paw()), tol)
+
+
+def _scalar_transition_rows(g, s, tol):
+    """The measure check one triple at a time on ln S, in (j, i, k) order."""
+    h = np.log(s)
+    rows = []
+    for j in range(1, g.n + 1):
+        for i in range(1, g.n + 1):
+            for k in range(1, g.n + 1):
+                gap = h[i - 1, k - 1] + h[j - 1, j - 1] - h[i - 1, j - 1] - h[j - 1, k - 1]
+                separated = is_cutpoint_between(g, j, i, k)
+                if gap < -tol or (abs(gap) <= tol) != separated:
+                    lhs, rhs = s[i - 1, j - 1] * s[j - 1, k - 1], s[i - 1, k - 1] * s[j - 1, j - 1]
+                    rows.append((i, j, k, lhs, rhs, separated))
+    return rows
+
 
 class TestFindTauThreshold:
     def test_k3_golden_ratio(self):
@@ -426,6 +476,11 @@ class TestFindTauThreshold:
         for g in small_corpus[:6]:
             tau = find_tau_threshold(g, precision=1e-4)
             assert validate_transitional_measure(g, path_accessibility(g, tau)).passed
+
+    @pytest.mark.parametrize("tol", OUT_OF_RANGE_TOLERANCES)
+    def test_tolerance_outside_range_refused(self, tol):
+        with pytest.raises(ParameterError, match=r"tolerance must lie in \[0, inf\)"):
+            find_tau_threshold(paw(), tol=tol)
 
     def test_one_label_pass_per_call(self, monkeypatch):
         calls = []
@@ -473,10 +528,9 @@ class TestFindTauThreshold:
 def _report_search(g, precision=1e-6, tol=1e-9):
     """The threshold search as it was when every step built a full
     validation report, kept to check the fused test against."""
-    labels = measures.separation_labels(g)
 
     def passes(tau):
-        return measures._transition_report(path_accessibility(g, tau).matrix, labels, tol).passed
+        return validate_transitional_measure(g, path_accessibility(g, tau), tol).passed
 
     start = 1.0 / linalg._spectral_radius(adjacency_matrix(g))
     if passes(start):
