@@ -112,7 +112,11 @@ def long_walk_distance(g: Graph, method: str = "closed_form") -> DistanceMatrix:
 
     It is evaluated in closed form, ``(psi_ii + psi_kk - 2 psi_ik) / n``
     with ``psi`` the pseudoinverse of ``rho I - A`` divided by
-    ``outer(p, p)``, ``p`` the unit Perron vector.  ``eigh`` resolves ``p``
+    ``outer(p, p)``, ``p`` the unit Perron vector.  One ``eigh`` of ``A``
+    gives both: the pseudoinverse is ``R R^T``, with ``R`` the other
+    eigenvectors each scaled by ``1 / sqrt(rho - lambda)``, and it is
+    checked against its contract ``(rho I - A) pinv = I - p p^T`` to 1e-9,
+    a :class:`NumericError` otherwise.  ``eigh`` resolves ``p``
     to about ``eps * rho / (rho - lambda_2)`` absolute, so the division
     can lose ``n * eps * (p_max / p_min) * rho / (rho - lambda_2)``
     relative to first order; when that bound exceeds ``LONG_WALK_RTOL``
@@ -141,12 +145,14 @@ def rescaled_long_walk_distance(g: Graph) -> DistanceMatrix:
 
 def _long_walk(g: Graph) -> tuple[np.ndarray, np.ndarray]:
     """The closed-form long-walk distances of :func:`long_walk_distance`
-    and the sum-normalized Perron vector, from one ``eigh``."""
+    and the sum-normalized Perron vector, from one ``eigh``: the Perron
+    pair gives the guard and ``p``, and the other eigenpairs sum the
+    pseudoinverse of ``rho I - A``."""
     a = adjacency_matrix(g)
-    eigenvalues, v = linalg._perron_eigh(a)
+    eigenvalues, vectors = linalg._perron_eigh(a)
     rho = float(eigenvalues[-1])
-    perron = v / v.sum()
-    p_unit = perron / np.linalg.norm(perron)
+    p_unit = vectors[:, -1]
+    perron = p_unit / p_unit.sum()
     gap = rho - float(eigenvalues[-2])
     ratio = float(p_unit.max()) / float(p_unit.min())
     bound = g.n * float(np.finfo(float).eps) * ratio * rho / gap if gap > 0.0 else math.inf
@@ -155,8 +161,12 @@ def _long_walk(g: Graph) -> tuple[np.ndarray, np.ndarray]:
             f"long-walk closed form may be off by {bound:.1e} relative, above {LONG_WALK_RTOL:.0e}: "
             f"Perron ratio p_max/p_min = {ratio:.1e}, spectral gap rho - lambda_2 = {gap:.1e}"
         )
-    pinv = linalg.symmetric_pseudoinverse(rho * np.eye(g.n) - a, p_unit)
-    psi = pinv / np.outer(p_unit, p_unit)
+    # rho - lambda >= gap > 0 past the guard; R @ R.T is one exactly symmetric syrk.
+    r = vectors[:, :-1] / np.sqrt(rho - eigenvalues[:-1])
+    pinv = r @ r.T
+    projector = np.outer(p_unit, p_unit)
+    linalg._check_pseudoinverse(rho * np.eye(g.n) - a, pinv, projector)
+    psi = pinv / projector
     diag = np.diag(psi)
     return (diag[:, None] + diag[None, :] - 2.0 * psi) / g.n, perron
 

@@ -1,12 +1,14 @@
 """Dense numeric kernel over LAPACK (through ``numpy.linalg``): inversion
 (a Schur-complement block recursion with Cholesky leaves for
 positive-definite input, LU otherwise), determinant, the Perron pair of an
-adjacency matrix, and the rank-one-corrected symmetric pseudoinverse.
+adjacency matrix together with the rest of its eigendecomposition, and the
+rank-one-corrected symmetric pseudoinverse.
 
 The wrappers add what LAPACK leaves to the caller: non-finite and
 non-square input is refused, an explicit 1-norm condition estimate guards
-every inverse, and eigenpairs and the pseudoinverse are checked against
-their contracts.  Every failure is a typed :class:`CutMetricsError`.
+every inverse, and eigenpairs and pseudoinverses, including one summed
+from eigenpairs by a caller, are checked against their contracts.  Every
+failure is a typed :class:`CutMetricsError`.
 """
 
 from __future__ import annotations
@@ -37,7 +39,9 @@ def _as_square(m) -> np.ndarray:
 
 def _as_adjacency(m) -> np.ndarray:
     a = _as_square(m)
-    if np.any(a < 0.0) or not np.allclose(a, a.T, rtol=1e-12, atol=1e-12):
+    # The exact test, about a tenth of the cost of allclose, settles the
+    # common case, an adjacency_matrix; allclose keeps the verdict on the rest.
+    if np.any(a < 0.0) or not (np.array_equal(a, a.T) or np.allclose(a, a.T, rtol=1e-12, atol=1e-12)):
         raise ParameterError("spectral data requires a symmetric nonnegative matrix")
     if not np.any(a):
         raise ParameterError("zero matrix has no Perron vector")
@@ -157,20 +161,23 @@ def spectral_data(a) -> SpectralData:
     the eigensolver's precision, about 1e-16 of the largest (long chains
     of blocks).
     """
-    values, v = _perron_eigh(a)
+    values, vectors = _perron_eigh(a)
+    v = vectors[:, -1]
     return SpectralData(rho=float(values[-1]), perron=v / v.sum())
 
 
 def _perron_eigh(a) -> tuple[np.ndarray, np.ndarray]:
-    """All eigenvalues, ascending, and the sign-fixed unit Perron vector
-    from one ``numpy.linalg.eigh``, checked as :func:`spectral_data`
-    documents."""
+    """Every eigenpair from one ``numpy.linalg.eigh``: the eigenvalues,
+    ascending, and the orthonormal eigenvectors as columns, the last one
+    the Perron vector with its sign fixed to a positive sum.  The Perron
+    pair is checked as :func:`spectral_data` documents; the other columns
+    are returned as ``eigh`` gives them."""
     mat = _as_adjacency(a)
     values, vectors = np.linalg.eigh(mat)
     rho = float(values[-1])
+    if vectors[:, -1].sum() < 0.0:
+        vectors[:, -1] *= -1.0
     v = vectors[:, -1]
-    if v.sum() < 0.0:
-        v = -v
     residual = float(np.abs(mat @ v - rho * v).max())
     if not residual <= EIGEN_RESIDUAL_RTOL * rho:
         raise NumericError(f"eigen-residual {residual:.3e} exceeds {EIGEN_RESIDUAL_RTOL:.0e} * rho")
@@ -179,7 +186,7 @@ def _perron_eigh(a) -> tuple[np.ndarray, np.ndarray]:
             "Perron vector has non-positive entries; the input is not a connected adjacency matrix "
             "or its smallest Perron entries are below the eigensolver's precision"
         )
-    return values, v
+    return values, vectors
 
 
 def symmetric_pseudoinverse(m, kernel) -> np.ndarray:
@@ -208,7 +215,14 @@ def symmetric_pseudoinverse(m, kernel) -> np.ndarray:
     projector = np.outer(khat, khat)
     pinv = invert(a + projector) - projector
     pinv = 0.5 * (pinv + pinv.T)
-    residual = float(np.abs(a @ pinv - (np.eye(n) - projector)).max())
+    _check_pseudoinverse(a, pinv, projector)
+    return pinv
+
+
+def _check_pseudoinverse(a: np.ndarray, pinv: np.ndarray, projector: np.ndarray) -> None:
+    """Raise :class:`NumericError` unless ``a @ pinv = I - projector`` to
+    1e-9: the contract of the pseudoinverse of a symmetric ``a`` whose
+    kernel ``projector`` projects onto."""
+    residual = float(np.abs(a @ pinv - (np.eye(len(a)) - projector)).max())
     if residual > 1e-9:
         raise NumericError(f"pseudoinverse contract violated: residual {residual:.3e}")
-    return pinv

@@ -192,6 +192,17 @@ class TestSpectralData:
         with pytest.raises(ParameterError):
             spectral_data(np.array([[0.0, 1.0], [2.0, 0.0]]))
 
+    @pytest.mark.parametrize("skew, accepted", [(1e-13, True), (1e-10, False)])
+    @pytest.mark.parametrize("call", [spectral_data, linalg._spectral_radius], ids=["spectral_data", "radius"])
+    def test_asymmetry_tolerance(self, call, skew, accepted):
+        a = adjacency_matrix(p3())
+        a[0, 1] += skew
+        if accepted:
+            call(a)
+        else:
+            with pytest.raises(ParameterError, match="requires a symmetric nonnegative matrix"):
+                call(a)
+
     def test_zero_matrix_rejected(self):
         with pytest.raises(ParameterError):
             spectral_data(np.zeros((2, 2)))

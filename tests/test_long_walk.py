@@ -1,16 +1,26 @@
 """Accuracy of the long-walk closed form against a 30-digit mpmath
-evaluation of the same formula, and its refusals where the float result
-cannot be vouched for.  The cut-rich graphs come from the benchmark's own
-generator, loaded by path."""
+evaluation of the same formula, its parity with the pseudoinverse route it
+replaced, its cost in eigensolves and inverses, and its refusals where the
+float result cannot be vouched for.  The cut-rich and 2-connected graphs
+come from the benchmark's own generator, loaded by path."""
 
 import importlib.util
+from collections import Counter
 from pathlib import Path
 
 import mpmath as mp
 import numpy as np
 import pytest
 
-from cutmetrics import Graph, NumericError, adjacency_matrix, long_walk_distance
+from cutmetrics import (
+    Graph,
+    NumericError,
+    adjacency_matrix,
+    linalg,
+    long_walk_distance,
+    rescaled_long_walk_distance,
+    symmetric_pseudoinverse,
+)
 from cutmetrics.cli import main
 from cutmetrics.distances import LONG_WALK_RTOL
 
@@ -50,6 +60,63 @@ def worst_relative_error(got, ref):
 def test_closed_form_matches_mpmath_on_cut_rich_graphs(s, n):
     g = cut_rich([s, n], n, chain=s == 1)
     assert worst_relative_error(long_walk_distance(g).values, reference(g)) <= LONG_WALK_RTOL
+
+
+@pytest.mark.parametrize("index", [0, 1, 2])
+def test_matches_the_pseudoinverse_route_on_biconnected_graphs(index):
+    # The graphs of the benchmark's compute_biconnected workload at seed 1.
+    rng = np.random.default_rng(1)
+    for _ in range(index + 1):
+        g = Graph(*bench_graphs.biconnected(rng, 200, chords=200))
+    a = adjacency_matrix(g)
+    values, vectors = linalg._perron_eigh(a)
+    p = vectors[:, -1]
+    psi = symmetric_pseudoinverse(values[-1] * np.eye(g.n) - a, p) / np.outer(p, p)
+    diag = np.diag(psi)
+    retired = (diag[:, None] + diag[None, :] - 2.0 * psi) / g.n
+    assert worst_relative_error(long_walk_distance(g).values, retired) <= 1e-12
+
+
+@pytest.mark.parametrize("call", [long_walk_distance, rescaled_long_walk_distance])
+def test_one_eigensolve_and_no_inverse(call, monkeypatch):
+    counts = Counter()
+
+    def counted(name, f):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return f(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(np.linalg, "eigh", counted("eigh", np.linalg.eigh))
+    monkeypatch.setattr(np.linalg, "inv", counted("inv", np.linalg.inv))
+    monkeypatch.setattr(linalg, "_pd_inverse", counted("_pd_inverse", linalg._pd_inverse))
+    call(cut_rich([0, 20], 20, chain=False))
+    assert counts == {"eigh": 1}
+
+
+def _swap_perron(vectors):
+    # A true eigenvector of A, but not the Perron one.
+    vectors[:, [0, -1]] = vectors[:, [-1, 0]]
+
+
+def _tilt_perron(vectors):
+    # A positive unit vector 1e-4 radians off the Perron vector.
+    vectors[:, -1] = np.cos(1e-4) * vectors[:, -1] + np.sin(1e-4) * vectors[:, 0]
+
+
+@pytest.mark.parametrize("corrupt", [_swap_perron, _tilt_perron], ids=["swapped", "tilted"])
+def test_refused_when_the_eigenpairs_miss_the_contract(corrupt, monkeypatch):
+    perron_eigh = linalg._perron_eigh
+
+    def corrupted(a):
+        values, vectors = perron_eigh(a)
+        corrupt(vectors)
+        return values, vectors
+
+    monkeypatch.setattr(linalg, "_perron_eigh", corrupted)
+    with pytest.raises(NumericError, match="pseudoinverse contract violated: residual"):
+        long_walk_distance(cut_rich([0, 20], 20, chain=False))
 
 
 def test_refused_on_a_long_chain_of_blocks():
