@@ -198,7 +198,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     measure = None if metric.measure is None else _build(g, name, params, "measure")
     d = _build(g, name, params) if measure is None else distances.log_distance(measure)
     names = ("transitional-measure",) * (measure is not None) + ("metric-axioms", "cutpoint-additivity")
-    checks = list(zip(names, distances._distance_reports(g, d, separation_labels(g), tol, measure)))
+    checks = list(zip(names, measures._checks(d.values, separation_labels(g), tol, names, measure)))
 
     passed = all(report.passed for _, report in checks)
     if args.json:

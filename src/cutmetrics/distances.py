@@ -8,8 +8,8 @@ into a matrix of distances:
 Applied to the path, reliability, forest, and walk measures this yields
 metrics whose triangle equality cases coincide exactly with the cutpoints
 of the graph.  The classical resistance distance and the limiting long-walk
-distance are built here as well, along with checkers for the metric axioms
-and for cutpoint additivity.
+distance are built here as well, along with the metric-axioms and
+cutpoint-additivity checkers, each one call of ``measures._checks``.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import numpy as np
 
 from . import linalg, measures
 from .errors import NumericError, ParameterError
-from .graph import Graph, _separated, _separated_at, adjacency_matrix, laplacian, separation_labels
+from .graph import Graph, adjacency_matrix, laplacian, separation_labels
 from .types import DistanceMatrix, TransitionalMeasure, ValidationReport
 
 __all__ = [
@@ -37,7 +37,6 @@ __all__ = [
     "normalize_distances",
 ]
 
-EQUALITY_FLOOR = 1e-12
 LONG_WALK_RTOL = 1e-8
 
 
@@ -183,10 +182,7 @@ def check_metric_axioms(d: DistanceMatrix, tol: float = 1e-9) -> ValidationRepor
     failure before its positivity failure, then triangle failures in
     (i, j, k) order.
     """
-    v = d.values
-    measures._tolerance(tol)
-    (triangle,) = measures._gap_triples(v, [(_triangle_test(v, tol), True)])
-    return _axioms_report(v, tol, triangle)
+    return measures._checks(d.values, None, measures._tolerance(tol), ["metric-axioms"])[0]
 
 
 def check_cutpoint_additivity(g: Graph, d: DistanceMatrix, tol: float = 1e-9) -> ValidationReport:
@@ -198,62 +194,9 @@ def check_cutpoint_additivity(g: Graph, d: DistanceMatrix, tol: float = 1e-9) ->
     Violations carry lhs = d(i,j) + d(j,k) and rhs = d(i,k), in (i, j, k)
     order; the ``expected_equal`` flag tells which direction failed.
     """
-    _check_order(g, d)
-    measures._tolerance(tol)
-    x = d.values
-    labels = separation_labels(g)
-    (triples,) = measures._gap_triples(x, [(_additivity_test(x, labels, tol), True)])
-    return _additivity_report(x, labels, triples)
-
-
-def _distance_reports(g: Graph, d: DistanceMatrix, labels: np.ndarray, tol: float, measure=None):
-    """``[check_metric_axioms(d, tol), check_cutpoint_additivity(g, d, tol)]``
-    from one pass over the triangle gaps, given the graph's
-    :func:`separation_labels`; given the ``measure`` whose log distance is
-    ``d``, its ``validate_transitional_measure`` comes first, from the same pass."""
-    _check_order(g, d)
-    x = d.values
-    tests = [(_triangle_test(x, tol), True), (_additivity_test(x, labels, tol), True)]
-    rule = [] if measure is None else [(measures._transition_rule(labels, tol), False)]
-    *transition, triangle, additive = measures._gap_triples(x, rule + tests)
-    reports = [measures._transition_report(measure.matrix, labels, triples) for triples in transition]
-    return reports + [_axioms_report(x, tol, triangle), _additivity_report(x, labels, additive)]
-
-
-def _check_order(g: Graph, d: DistanceMatrix) -> None:
     if d.order != g.n:
         raise ParameterError(f"distance order {d.order} does not match graph order {g.n}")
-
-
-def _triangle_test(v: np.ndarray, tol: float):
-    return lambda gap, j: -gap > tol * (v + gap) + EQUALITY_FLOOR
-
-
-def _additivity_test(x: np.ndarray, labels: np.ndarray, tol: float):
-    slack = tol * np.abs(x) + EQUALITY_FLOOR
-    return lambda gap, j: (np.abs(gap) <= slack) != _separated_at(labels, j)
-
-
-def _axioms_report(v: np.ndarray, tol: float, triangle: np.ndarray) -> ValidationReport:
-    diag = np.diag(v)
-    loops = np.flatnonzero(np.abs(diag) > EQUALITY_FLOOR)
-    upper, lower = np.triu_indices(len(v), 1)
-    a, b = v[upper, lower], v[lower, upper]
-    asymmetric = np.abs(a - b) > tol * np.maximum(np.abs(a), np.abs(b)) + EQUALITY_FLOOR
-    pair, kind = np.nonzero(np.column_stack((asymmetric, ~(a > 0.0))))  # per pair, symmetry first
-    symmetry = kind == 0
-    i, j, k = triangle.T
-    return measures._report(
-        np.concatenate((np.repeat(loops, 3).reshape(-1, 3), np.column_stack((upper, lower, upper))[pair], triangle)),
-        np.concatenate((diag[loops], a[pair], v[i, k])),
-        np.concatenate((np.zeros(len(loops)), np.where(symmetry, b[pair], 0.0), v[i, j] + v[j, k])),
-        np.concatenate((np.ones(len(loops), dtype=bool), symmetry, np.zeros(len(triangle), dtype=bool))),
-    )
-
-
-def _additivity_report(x: np.ndarray, labels: np.ndarray, triples: np.ndarray) -> ValidationReport:
-    i, j, k = triples.T
-    return measures._report(triples, x[i, j] + x[j, k], x[i, k], _separated(labels, i, j, k))
+    return measures._checks(d.values, separation_labels(g), measures._tolerance(tol), ["cutpoint-additivity"])[0]
 
 
 def normalize_distances(

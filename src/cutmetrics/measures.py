@@ -1,11 +1,12 @@
-"""The four transitional measures and the checker for the transition
-inequality and bottleneck identity.
+"""The four transitional measures and the triple checks.
 
 Each measure is a strictly positive symmetric matrix S over the vertices.
 The defining property, verified by :func:`validate_transitional_measure`,
 is ``S[i,j] * S[j,k] <= S[i,k] * S[j,j]`` for all triples, with equality
 exactly when every path from ``i`` to ``k`` passes through ``j``: the
 triangle inequality of the log distance d, ``d_ij + d_jk - d_ik = ln(S_ik S_jj / S_ij S_jk)``.
+The metric-axioms and cutpoint-additivity checks are rules on the same
+gaps, and :func:`_checks` runs any of the three in one pass.
 
 Path and reliability values are sums over one explicit simple-path
 enumeration, :func:`_simple_paths`, run once per source vertex, and
@@ -39,6 +40,8 @@ PATHS_PER_PAIR_CAP = 4096
 # Distinct edge unions kept by reliability's grouped inclusion-exclusion for
 # one pair; up to 2^m of them, so a pair with few paths can still explode.
 TERMS_PER_PAIR_CAP = 1 << 16
+# Absolute slack the distance checks add to their relative ``tol``.
+EQUALITY_FLOOR = 1e-12
 # Gap entries a triple checker forms at once (at least one pivot's n x n slab):
 # larger blocks make fewer calls per pivot until their temporaries leave the cache.
 _GAP_BLOCK = 1 << 14
@@ -299,8 +302,8 @@ def _gap_triples(x: np.ndarray, tests) -> list[np.ndarray]:
     formed once for all tests.  All triples come in ``(j, i, k)`` order, or
     if ``distinct`` the triples of distinct vertices in ``(i, j, k)`` order."""
     n = x.shape[0]
-    step = max(1, _GAP_BLOCK // (n * n))
-    hits = [[] for _ in tests]
+    step = max(1, _GAP_BLOCK // max(1, n * n))
+    hits = [[np.empty(0, dtype=np.intp)] for _ in tests]
     for start in range(0, n, step):
         block = slice(start, start + step)
         gap = _gaps(x, block)
@@ -344,18 +347,6 @@ def _transition_fails(gap: np.ndarray, separated: np.ndarray, tol: float) -> np.
     return (gap < -tol) | ((np.abs(gap) <= tol) != separated)
 
 
-def _transition_rule(labels: np.ndarray, tol: float):
-    """The measure check as a :func:`_gap_triples` test, given :func:`separation_labels`."""
-    return lambda gap, j: _transition_fails(gap, _separated_at(labels, j), tol)
-
-
-def _transition_report(s: np.ndarray, labels: np.ndarray, triples: np.ndarray) -> ValidationReport:
-    """The measure report of the matrix ``s`` at its failing ``triples``."""
-    i, j, k = triples.T
-    with np.errstate(over="ignore"):  # products of huge entries may overflow; their logs do not
-        return _report(triples, s[i, j] * s[j, k], s[i, k] * s[j, j], _separated(labels, i, j, k))
-
-
 def _transition_test(g: Graph, tol: float):
     """:func:`validate_transitional_measure` without its report: a function
     of a measure matrix that counts the failing triples, with all pivots in
@@ -363,6 +354,54 @@ def _transition_test(g: Graph, tol: float):
     every = slice(None)
     separated = _separated_at(separation_labels(g), every)
     return lambda s: int(np.count_nonzero(_transition_fails(_gaps(_log_distance(s), every), separated, tol)))
+
+
+def _checks(x: np.ndarray, labels, tol: float, names, s: TransitionalMeasure | None = None) -> list[ValidationReport]:
+    """The reports of the checks ``names``, in that order, from one
+    :func:`_gap_triples` pass over the triangle gaps of the distance array
+    ``x``: ``"transitional-measure"`` of the measure ``s`` whose log
+    distance is ``x``, ``"metric-axioms"`` and ``"cutpoint-additivity"``.
+    ``labels`` are the graph's :func:`separation_labels`; the axioms need none."""
+    tests = []
+    for name in names:
+        if name == "transitional-measure":
+            tests.append((lambda gap, j: _transition_fails(gap, _separated_at(labels, j), tol), False))
+        elif name == "metric-axioms":
+            tests.append((lambda gap, j: -gap > tol * (x + gap) + EQUALITY_FLOOR, True))
+        else:
+            slack = tol * np.abs(x) + EQUALITY_FLOOR
+            tests.append((lambda gap, j: (np.abs(gap) <= slack) != _separated_at(labels, j), True))
+    reports = []
+    for name, triples in zip(names, _gap_triples(x, tests)):
+        i, j, k = triples.T
+        if name == "transitional-measure":
+            m = s.matrix
+            with np.errstate(over="ignore"):  # products of huge entries may overflow; their logs do not
+                reports.append(_report(triples, m[i, j] * m[j, k], m[i, k] * m[j, j], _separated(labels, i, j, k)))
+        elif name == "metric-axioms":
+            reports.append(_axioms_report(x, tol, triples))
+        else:
+            reports.append(_report(triples, x[i, j] + x[j, k], x[i, k], _separated(labels, i, j, k)))
+    return reports
+
+
+def _axioms_report(v: np.ndarray, tol: float, triangle: np.ndarray) -> ValidationReport:
+    """The metric-axioms report of ``v``: its diagonal, symmetry and
+    positivity failures, then its failing ``triangle`` triples."""
+    diag = np.diag(v)
+    loops = np.flatnonzero(np.abs(diag) > EQUALITY_FLOOR)
+    upper, lower = np.triu_indices(len(v), 1)
+    a, b = v[upper, lower], v[lower, upper]
+    asymmetric = np.abs(a - b) > tol * np.maximum(np.abs(a), np.abs(b)) + EQUALITY_FLOOR
+    pair, kind = np.nonzero(np.column_stack((asymmetric, ~(a > 0.0))))  # per pair, symmetry first
+    symmetry = kind == 0
+    i, j, k = triangle.T
+    return _report(
+        np.concatenate((np.repeat(loops, 3).reshape(-1, 3), np.column_stack((upper, lower, upper))[pair], triangle)),
+        np.concatenate((diag[loops], a[pair], v[i, k])),
+        np.concatenate((np.zeros(len(loops)), np.where(symmetry, b[pair], 0.0), v[i, j] + v[j, k])),
+        np.concatenate((np.ones(len(loops), dtype=bool), symmetry, np.zeros(len(triangle), dtype=bool))),
+    )
 
 
 def validate_transitional_measure(
@@ -383,9 +422,7 @@ def validate_transitional_measure(
     if s.order != g.n:
         raise ParameterError(f"measure order {s.order} does not match graph order {g.n}")
     _tolerance(tol)
-    labels = separation_labels(g)
-    (triples,) = _gap_triples(_log_distance(s.matrix), [(_transition_rule(labels, tol), False)])
-    return _transition_report(s.matrix, labels, triples)
+    return _checks(_log_distance(s.matrix), separation_labels(g), tol, ["transitional-measure"], s)[0]
 
 
 def find_tau_threshold(

@@ -1,5 +1,6 @@
 import math
 from dataclasses import astuple
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -32,7 +33,7 @@ from cutmetrics import (
     walk_distance,
     walk_matrix,
 )
-from cutmetrics import distances, measures
+from cutmetrics import linalg, measures
 from cutmetrics.types import ValidationReport, Violation
 
 from conftest import OUT_OF_RANGE_TOLERANCES, c4, clique_edges, complete, diamond, k3, p2, p3, p4, path_edges, paw, star4
@@ -386,11 +387,13 @@ class TestNormalizeDistances:
 
 
 class TestMergedDistancePass:
+    NAMES = ("transitional-measure", "metric-axioms", "cutpoint-additivity")
+
     def test_reports_equal_the_public_checkers(self, corpus):
         for seed, g in enumerate(corpus):
             labels = separation_labels(g)
             for d in (forest_distance(g), shortest_path_lengths(g), resistance_distance(g), *_spoiled(g, seed)):
-                axioms, additivity = distances._distance_reports(g, d, labels, 1e-9)
+                axioms, additivity = measures._checks(d.values, labels, 1e-9, self.NAMES[1:])
                 assert _exact(axioms) == _exact(check_metric_axioms(d, 1e-9))
                 assert _exact(additivity) == _exact(check_cutpoint_additivity(g, d, 1e-9))
 
@@ -399,10 +402,45 @@ class TestMergedDistancePass:
             labels = separation_labels(g)
             for measure in (measures._forest_inverse(g, 1.0), path_accessibility(g, 0.7)):
                 d = log_distance(measure)
-                transition, axioms, additivity = distances._distance_reports(g, d, labels, 1e-9, measure)
+                transition, axioms, additivity = measures._checks(d.values, labels, 1e-9, self.NAMES, measure)
                 assert _exact(transition) == _exact(validate_transitional_measure(g, measure, 1e-9))
                 assert _exact(axioms) == _exact(check_metric_axioms(d, 1e-9))
                 assert _exact(additivity) == _exact(check_cutpoint_additivity(g, d, 1e-9))
+
+    def test_failing_reports_equal_the_public_checkers(self, monkeypatch):
+        # Each report must hold its own check's columns: on the corpus the
+        # axioms and additivity reports of a valid measure are empty, so a
+        # pass that filled one report from another's columns would go unseen.
+        # Here walk at 1/(2 rho) with tol 1e-3 fails 466 transition and 798
+        # additivity triples, and exp(-d) of a noisy forest distance d, whose
+        # log distance is d, fails all three checks.
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "bench"))
+        import graphs
+
+        g = Graph(*graphs.cut_rich(np.random.default_rng(1), 40, chain=False))
+        labels = separation_labels(g)
+        walk = walk_matrix(g, 0.5 / linalg._spectral_radius(adjacency_matrix(g)))
+        noisy = TransitionalMeasure("forest", np.exp(-_spoiled(g, 1)[0].values))
+        for measure, tol, counts in ((walk, 1e-3, (466, 0, 798)), (noisy, 1e-9, None)):
+            d = log_distance(measure)
+            reports = measures._checks(d.values, labels, tol, self.NAMES, measure)
+            public = [
+                validate_transitional_measure(g, measure, tol),
+                check_metric_axioms(d, tol),
+                check_cutpoint_additivity(g, d, tol),
+            ]
+            sizes = tuple(len(r.violations) for r in reports)
+            assert (sizes == counts) if counts else all(sizes)
+            for report, expected in zip(reports, public):
+                assert report == expected
+                assert [c.tobytes() for c in report._table()] == [c.tobytes() for c in expected._table()]
+
+    def test_empty_matrix_passes(self):
+        # A 0 x 0 matrix has no triple to test, as TransitionalMeasure allows.
+        assert check_metric_axioms(DistanceMatrix(np.zeros((0, 0)), "candidate")).passed
+        empty = TransitionalMeasure("forest", np.ones((0, 0)))
+        reports = measures._checks(np.zeros((0, 0)), np.zeros((0, 0), dtype=int), 1e-9, self.NAMES, empty)
+        assert [r.passed for r in reports] == [True] * 3
 
     @pytest.mark.parametrize("tol", OUT_OF_RANGE_TOLERANCES)
     @pytest.mark.parametrize("checker", ["axioms", "additivity"])
@@ -416,10 +454,6 @@ class TestMergedDistancePass:
                 check_metric_axioms(d, tol)
             else:
                 check_cutpoint_additivity(g, d, tol)
-
-    def test_order_mismatch_rejected(self):
-        with pytest.raises(ParameterError):
-            distances._distance_reports(p3(), forest_distance(p4()), separation_labels(p3()), 1e-9)
 
 
 class TestValidationReport:
