@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+__all__ = ["CutMetricsError", "GraphInputError", "CapExceededError", "ParameterError", "NumericError"]
+
 
 class CutMetricsError(Exception):
     """Base class for every error raised by this package."""

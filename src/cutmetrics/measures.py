@@ -295,20 +295,23 @@ def _gaps(x: np.ndarray, j: slice) -> np.ndarray:
     return (x.T[j, :, None] + x[j, None, :]) - x
 
 
-def _gap_triples(x: np.ndarray, tests) -> list[np.ndarray]:
+def _gap_triples(x: np.ndarray, tests, labels) -> list[np.ndarray]:
     """The kernel of every triple checker: for each ``(test, distinct)`` of
-    ``tests``, the 0-based rows ``(i, j, k)`` where ``test(gap, j)`` holds,
-    from the :func:`_gaps` of one block slice ``j`` of pivots at a time,
-    formed once for all tests.  All triples come in ``(j, i, k)`` order, or
-    if ``distinct`` the triples of distinct vertices in ``(i, j, k)`` order."""
+    ``tests``, the 0-based rows ``(i, j, k)`` where ``test(gap, separated)``
+    holds, from the :func:`_gaps` of one block slice ``j`` of pivots at a
+    time and the :func:`_separated_at` mask of the ``labels`` for that
+    block (None without labels), both formed once for all tests.  All
+    triples come in ``(j, i, k)`` order, or if ``distinct`` the triples of
+    distinct vertices in ``(i, j, k)`` order."""
     n = x.shape[0]
     step = max(1, _GAP_BLOCK // max(1, n * n))
     hits = [[np.empty(0, dtype=np.intp)] for _ in tests]
     for start in range(0, n, step):
         block = slice(start, start + step)
         gap = _gaps(x, block)
+        separated = None if labels is None else _separated_at(labels, block)
         for (test, _), found in zip(tests, hits):
-            found.append(start * n * n + np.flatnonzero(test(gap, block)))
+            found.append(start * n * n + np.flatnonzero(test(gap, separated)))
     out = []
     for (_, distinct), found in zip(tests, hits):
         j, i, k = np.unravel_index(np.concatenate(found), (n, n, n))
@@ -347,13 +350,23 @@ def _transition_fails(gap: np.ndarray, separated: np.ndarray, tol: float) -> np.
     return (gap < -tol) | ((np.abs(gap) <= tol) != separated)
 
 
+@lru_cache(maxsize=64)
+def _separation_mask(g: Graph) -> np.ndarray:
+    """The :func:`_separated_at` mask of every pivot of ``g``, n^3 bytes.
+    Cached per graph, since the tau search and then
+    :func:`cutmetrics.distances.path_distance` test one graph many times,
+    so the array is read-only."""
+    mask = _separated_at(separation_labels(g), slice(None))
+    mask.flags.writeable = False
+    return mask
+
+
 def _transition_test(g: Graph, tol: float):
     """:func:`validate_transitional_measure` without its report: a function
     of a measure matrix that counts the failing triples, with all pivots in
-    one block.  The separation mask takes n^3 bytes."""
-    every = slice(None)
-    separated = _separated_at(separation_labels(g), every)
-    return lambda s: int(np.count_nonzero(_transition_fails(_gaps(_log_distance(s), every), separated, tol)))
+    one block."""
+    separated = _separation_mask(g)
+    return lambda s: int(np.count_nonzero(_transition_fails(_gaps(_log_distance(s), slice(None)), separated, tol)))
 
 
 def _checks(x: np.ndarray, labels, tol: float, names, s: TransitionalMeasure | None = None) -> list[ValidationReport]:
@@ -365,14 +378,14 @@ def _checks(x: np.ndarray, labels, tol: float, names, s: TransitionalMeasure | N
     tests = []
     for name in names:
         if name == "transitional-measure":
-            tests.append((lambda gap, j: _transition_fails(gap, _separated_at(labels, j), tol), False))
+            tests.append((lambda gap, separated: _transition_fails(gap, separated, tol), False))
         elif name == "metric-axioms":
-            tests.append((lambda gap, j: -gap > tol * (x + gap) + EQUALITY_FLOOR, True))
+            tests.append((lambda gap, separated: -gap > tol * (x + gap) + EQUALITY_FLOOR, True))
         else:
             slack = tol * np.abs(x) + EQUALITY_FLOOR
-            tests.append((lambda gap, j: (np.abs(gap) <= slack) != _separated_at(labels, j), True))
+            tests.append((lambda gap, separated: (np.abs(gap) <= slack) != separated, True))
     reports = []
-    for name, triples in zip(names, _gap_triples(x, tests)):
+    for name, triples in zip(names, _gap_triples(x, tests, labels)):
         i, j, k = triples.T
         if name == "transitional-measure":
             m = s.matrix

@@ -15,6 +15,16 @@ import numpy as np
 
 from .errors import NumericError
 
+__all__ = [
+    "TransitionalMeasure",
+    "DistanceMatrix",
+    "ValidationReport",
+    "Violation",
+    "SpectralData",
+    "Path",
+    "RootedForestSummary",
+]
+
 MEASURE_KINDS = ("path", "reliability", "forest", "walk")
 
 

@@ -461,6 +461,32 @@ class TestCommandFlags:
     def test_each_command_reads_its_own_flags(self, graph_file, capsys, argv):
         assert main([*argv, "--input", graph_file(P4_FILE), "--metric", "shortest", "--tau", "0.3", "--t", "0.4"]) == 0
 
+    @pytest.mark.parametrize(
+        "argv, code, err",
+        [
+            (["compute", "--metric", "path:tau"], 2, "parameter error: malformed metric parameter 'tau' in 'path:tau'"),
+            (
+                ["compute", "--metric", "path:tau=abc"],
+                2,
+                "parameter error: non-numeric metric parameter 'tau=abc' in 'path:tau=abc'",
+            ),
+            (["compare", "--metric", "shortest", "--pairs", "1x2"], 2, "parameter error: malformed vertex pair '1x2'; expected 'u-v'"),
+            (["compare", "--metric", "shortest", "--pairs", "1-x"], 2, "parameter error: malformed vertex pair '1-x'; expected 'u-v'"),
+            (["compare", "--metric", "shortest", "--pairs", ","], 2, "parameter error: no vertex pairs in ','"),
+            (["validate", "--metric", "shortest,resistance"], 1, "usage error: validate takes exactly one metric"),
+        ],
+    )
+    def test_malformed_spec_refused(self, graph_file, capsys, argv, code, err):
+        assert main([*argv, "--input", graph_file(P4_FILE)]) == code
+        assert capsys.readouterr().err == err + "\n"
+
+    def test_trailing_comma_in_metric_accepted(self, graph_file, capsys):
+        path = graph_file(P4_FILE)
+        assert main(["compute", "--input", path, "--metric", "shortest,"]) == 0
+        with_comma = capsys.readouterr().out
+        assert main(["compute", "--input", path, "--metric", "shortest"]) == 0
+        assert capsys.readouterr().out == with_comma
+
     @pytest.mark.parametrize("target", ["-1", "0", "nan", "inf"])
     def test_target_outside_positive_finite_exits_2(self, graph_file, capsys, target):
         assert main(["compare", "--input", graph_file(P4_FILE), "--metric", "shortest", "--target", target]) == 2

@@ -363,6 +363,11 @@ class TestNormalizeDistances:
         with pytest.raises(ParameterError):
             normalize_distances(shortest_path_lengths(p4()), [], 3.0)
 
+    def test_pair_out_of_range_rejected(self):
+        with pytest.raises(ParameterError) as refused:
+            normalize_distances(shortest_path_lengths(p3()), [(1, 9)], 3.0)
+        assert str(refused.value) == "pair (1, 9) out of range 1..3"
+
     def test_zero_sum_rejected(self):
         zero = DistanceMatrix(np.zeros((4, 4)), "candidate")
         with pytest.raises(ParameterError):
@@ -488,3 +493,24 @@ class TestValidationReport:
             report.passed = True
         with pytest.raises(ValueError):
             ValidationReport(True, report.violations)
+
+
+class TestContainerRefusals:
+    @pytest.mark.parametrize(
+        "build, error, message",
+        [
+            (lambda: DistanceMatrix(np.zeros((2, 3)), "candidate"), ValueError, "distance matrix must be square"),
+            (
+                lambda: DistanceMatrix(np.array([[0.0, np.nan], [1.0, 0.0]]), "candidate"),
+                NumericError,
+                "candidate distance has non-finite entries",
+            ),
+            (lambda: DistanceMatrix(np.zeros((2, 2)), "candidate").value(0, 1), IndexError, "vertex pair (0, 1) out of range 1..2"),
+            (lambda: TransitionalMeasure("bogus", np.ones((2, 2))), ValueError, "unknown measure kind 'bogus'"),
+        ],
+        ids=["non-square", "nan", "vertex-zero", "unknown-kind"],
+    )
+    def test_refused_with_its_type_and_message(self, build, error, message):
+        with pytest.raises(error) as refused:
+            build()
+        assert str(refused.value) == message

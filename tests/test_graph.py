@@ -72,6 +72,15 @@ class TestParseGraph:
         with pytest.raises(GraphInputError, match="line 3"):
             parse_graph("3\n1 2 1\n2 three 1")
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [("x\n", "line 1: expected vertex count, got 'x'"), ("2\n1 2\n", "line 2: expected 'u v w', got '1 2'")],
+    )
+    def test_malformed_line_quoted(self, text, message):
+        with pytest.raises(GraphInputError) as refused:
+            parse_graph(text)
+        assert str(refused.value) == message
+
     def test_missing_vertex_count(self):
         with pytest.raises(GraphInputError, match="vertex count"):
             parse_graph("# nothing else\n")
@@ -147,6 +156,11 @@ class TestCutpointOracle:
     def test_same_endpoints_no_interior(self):
         # The only path from 1 to 1 is the empty path, which misses 2.
         assert not is_cutpoint_between(p3(), 2, 1, 1)
+
+    def test_vertex_out_of_range(self):
+        with pytest.raises(GraphInputError) as refused:
+            is_cutpoint_between(p3(), 9, 1, 2)
+        assert str(refused.value) == "vertex id out of range 1..3: 9"
 
     def test_symmetric_in_endpoints(self, small_corpus):
         for g in small_corpus[:10]:

@@ -162,6 +162,11 @@ class TestDeterminant:
         for g in small_corpus[:8]:
             assert determinant(laplacian(g)) == pytest.approx(0.0, abs=1e-9)
 
+    def test_overflow_raises(self):
+        with pytest.raises(NumericError) as refused:
+            determinant(np.diag([1e200, 1e200]))
+        assert str(refused.value) == "determinant overflows a float: ln|det| = 921.034"
+
 
 class TestSpectralData:
     def test_p2_exact(self):
@@ -239,6 +244,15 @@ class TestSymmetricPseudoinverse:
     def test_wrong_kernel_rejected(self):
         with pytest.raises(ParameterError, match="kernel"):
             symmetric_pseudoinverse(laplacian(p3()), np.array([1.0, 0.0, -1.0]))
+
+    @pytest.mark.parametrize(
+        "kernel, message",
+        [([1.0, 1.0], "kernel vector must have shape (3,), got (2,)"), ([0.0, 0.0, 0.0], "kernel vector must be nonzero")],
+    )
+    def test_malformed_kernel_rejected(self, kernel, message):
+        with pytest.raises(ParameterError) as refused:
+            symmetric_pseudoinverse(laplacian(p3()), np.array(kernel))
+        assert str(refused.value) == message
 
     def test_symmetric_and_annihilates_kernel(self, small_corpus):
         for g in small_corpus[:10]:

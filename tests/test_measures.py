@@ -482,11 +482,26 @@ class TestFindTauThreshold:
         with pytest.raises(ParameterError, match=r"tolerance must lie in \[0, inf\)"):
             find_tau_threshold(paw(), tol=tol)
 
+    def test_zero_precision_refused(self):
+        with pytest.raises(ParameterError) as refused:
+            find_tau_threshold(paw(), precision=0.0)
+        assert str(refused.value) == "precision must be positive, got 0.0"
+
     def test_one_label_pass_per_call(self, monkeypatch):
+        measures._separation_mask.cache_clear()
         calls = []
         original = measures.separation_labels
         monkeypatch.setattr(measures, "separation_labels", lambda g: calls.append(g) or original(g))
         find_tau_threshold(k3(), precision=1e-6)
+        assert len(calls) == 1
+
+    def test_path_distance_reuses_the_search_mask(self, monkeypatch):
+        measures._separation_mask.cache_clear()
+        calls = []
+        original = measures.separation_labels
+        monkeypatch.setattr(measures, "separation_labels", lambda g: calls.append(g) or original(g))
+        tau = find_tau_threshold(paw(), precision=1e-6)
+        distances.path_distance(paw(), tau / 2)
         assert len(calls) == 1
 
     def test_vertex_cap(self):
