@@ -150,19 +150,25 @@ def _cmd_compute(args: argparse.Namespace) -> int:
         raise _UsageError("compute takes exactly one metric")
     name, params = specs[0]
     d = _build(g, name, params)
+    row_format = ",".join(["%.12g"] * g.n)  # the spelling of _format
     lines = [",".join(str(v) for v in range(1, g.n + 1))]
-    for row in d.values:
-        lines.append(",".join(_format(x) for x in row))
+    lines.extend(row_format % tuple(row) for row in d.values.tolist())
     _write_output("\n".join(lines) + "\n", args.output)
     print(f"cutmetrics compute: metric={name} params={d.params} n={g.n} input={args.input}", file=sys.stderr)
     return 0
 
 
-# One violation as json.dumps(indent=2) lays it out inside the payload.
-_VIOLATION = (
-    '    {\n      "i": %d,\n      "j": %d,\n      "k": %d,\n      "lhs": %s,\n      "rhs": %s,\n'
-    '      "expected_equal": %s\n    }'
+# One violation as json.dumps(indent=2) lays it out inside the payload,
+# after the ",\n" that separates it from the one before; the writer puts
+# each field's spelling between the constant pieces.
+_VIOLATION_TEXT = np.array(
+    ',\n    {\n      "i": %s,\n      "j": %s,\n      "k": %s,\n      "lhs": %s,\n      "rhs": %s,\n'
+    '      "expected_equal": %s\n    }'.split("%s"),
+    dtype=object,
 )
+_FLAGS_JSON = np.array(["false", "true"], dtype=object)
+# Violations per "".join of the writer, which bounds its transient objects.
+_JOIN_ROWS = 1024
 _encode = json.JSONEncoder().encode
 
 
@@ -174,16 +180,35 @@ def _json_floats(values: np.ndarray) -> list[str]:
 
 def _validate_json(payload: dict, reports) -> str:
     """``json.dumps(indent=2)`` of ``payload`` with the violations of
-    ``reports`` appended as dicts, written straight from their columns."""
+    ``reports`` appended as dicts, written from their columns.
+
+    Each vertex id of the span the triples cover, and each distinct float
+    bit pattern (so ``0.0`` and ``-0.0`` stay apart), is spelled once; the
+    rows index those spellings.  A table of :data:`_JOIN_ROWS` rows
+    interleaves the :data:`_VIOLATION_TEXT` with the spellings of one chunk
+    of rows at a time, and each chunk is joined into one string, so the
+    object arrays stay O(_JOIN_ROWS) whatever the number of rows."""
     text = json.dumps({**payload, "violations": []}, indent=2)
     triples, lhs, rhs, expected = (np.concatenate(c) for c in zip(*(r._table() for r in reports)))
-    if len(lhs):
-        i, j, k = triples.T.tolist()
-        flags = [("false", "true")[e] for e in expected.tolist()]
-        rows = zip(i, j, k, _json_floats(lhs), _json_floats(rhs), flags)
-        items = ",\n".join(map(_VIOLATION.__mod__, rows))
-        text = "".join((text[: -len("[]\n}")], "[\n", items, "\n  ]\n}"))
-    return text
+    rows = len(lhs)
+    if not rows:
+        return text
+    bits, where = np.unique(np.concatenate((lhs, rhs)).view(np.int64), return_inverse=True)
+    floats = np.array(_json_floats(bits.view(np.float64)), dtype=object)
+    low = int(triples.min())
+    ids = np.array(list(map(str, range(low, int(triples.max()) + 1))), dtype=object)
+    table = np.empty((min(rows, _JOIN_ROWS), 2 * len(_VIOLATION_TEXT) - 1), dtype=object)
+    table[:, 0::2] = _VIOLATION_TEXT
+    chunks = []
+    for start in range(0, rows, _JOIN_ROWS):
+        part, span = table[: min(rows - start, _JOIN_ROWS)], slice(start, start + _JOIN_ROWS)
+        part[:, 1:6:2] = ids[triples[span] - low]
+        part[:, 7] = floats[where[:rows][span]]
+        part[:, 9] = floats[where[rows:][span]]
+        part[:, 11] = _FLAGS_JSON[expected[span].astype(np.intp)]
+        chunks.append("".join(part.ravel().tolist()))
+    chunks[0] = chunks[0][1:]  # the first violation follows "[" with no comma
+    return "".join((text[: -len("[]\n}")], "[", *chunks, "\n  ]\n}"))
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
@@ -207,13 +232,11 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     else:
         lines = []
         for label, report in checks:
-            status = "passed" if report.passed else f"failed ({len(report.violations)} violations)"
+            columns = report._table()
+            status = "passed" if report.passed else f"failed ({len(columns[1])} violations)"
             lines.append(f"check {label}: {status}")
-            for v in report.violations[:20]:
-                lines.append(
-                    f"  triple ({v.i},{v.j},{v.k}): lhs={_format(v.lhs)} rhs={_format(v.rhs)}"
-                    f" expected_equal={v.expected_equal}"
-                )
+            for (i, j, k), a, b, e in zip(*(column[:20].tolist() for column in columns)):
+                lines.append(f"  triple ({i},{j},{k}): lhs={_format(a)} rhs={_format(b)} expected_equal={e}")
         lines.append(f"overall: {'passed' if passed else 'failed'}")
         _write_output("\n".join(lines) + "\n", args.output)
     return 0 if passed else 1

@@ -302,7 +302,8 @@ def _gap_triples(x: np.ndarray, tests, labels) -> list[np.ndarray]:
     time and the :func:`_separated_at` mask of the ``labels`` for that
     block (None without labels), both formed once for all tests.  All
     triples come in ``(j, i, k)`` order, or if ``distinct`` the triples of
-    distinct vertices in ``(i, j, k)`` order."""
+    distinct vertices in ``(i, j, k)`` order, sorted as the one key
+    ``(i * n + j) * n + k``."""
     n = x.shape[0]
     step = max(1, _GAP_BLOCK // max(1, n * n))
     hits = [[np.empty(0, dtype=np.intp)] for _ in tests]
@@ -315,11 +316,10 @@ def _gap_triples(x: np.ndarray, tests, labels) -> list[np.ndarray]:
     out = []
     for (_, distinct), found in zip(tests, hits):
         j, i, k = np.unravel_index(np.concatenate(found), (n, n, n))
-        triples = np.column_stack((i, j, k))
         if distinct:
-            triples = triples[(i != j) & (j != k) & (i != k)]
-            triples = triples[np.lexsort(triples.T[::-1])]
-        out.append(triples)
+            key = ((i * n + j) * n + k)[(i != j) & (j != k) & (i != k)]
+            i, j, k = np.unravel_index(np.sort(key), (n, n, n))
+        out.append(np.column_stack((i, j, k)))
     return out
 
 

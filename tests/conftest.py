@@ -65,6 +65,22 @@ def triangle_chain(count):
     return Graph(2 * count + 1, tuple(edges))
 
 
+def cycle_with_chords(rng: np.random.Generator, n: int, chords: int) -> Graph:
+    """A Hamiltonian cycle over a random order of vertices 1..n-2 plus
+    ``chords`` distinct extra edges, which is 2-connected, and the path
+    1 - (n-1) - n hung off it, so that 1 and n-1 are its cut vertices.
+    Weights in [0.5, 1.5]."""
+    core = n - 2
+    order = rng.permutation(core) + 1
+    pairs = {tuple(sorted((int(order[a]), int(order[(a + 1) % core])))) for a in range(core)}
+    while len(pairs) < core + chords:
+        u, v = sorted(int(x) for x in rng.integers(1, core + 1, size=2))
+        if u != v:
+            pairs.add((u, v))
+    pairs = sorted(pairs) + [(1, n - 1), (n - 1, n)]
+    return Graph(n, tuple((u, v, float(rng.uniform(0.5, 1.5))) for u, v in pairs))
+
+
 def as_networkx(g):
     """``g`` as a simple networkx graph: loops dropped, parallel edges merged."""
     reference = nx.Graph()

@@ -7,12 +7,20 @@ import sys
 import numpy as np
 import pytest
 
-from cutmetrics import DistanceMatrix, adjacency_matrix, check_metric_axioms, spectral_data
+from cutmetrics import (
+    DistanceMatrix,
+    adjacency_matrix,
+    check_cutpoint_additivity,
+    check_metric_axioms,
+    parse_graph,
+    shortest_path_lengths,
+    spectral_data,
+)
 from cutmetrics import cli, distances, graph, measures
 from cutmetrics.cli import _validate_json, main
 from cutmetrics.types import ValidationReport, Violation
 
-from conftest import triangle_chain
+from conftest import cycle_with_chords, triangle_chain
 
 P2_FILE = "2\n1 2 1.0\n"
 P4_FILE = "4\n1 2 1\n2 3 1\n3 4 1\n"
@@ -34,6 +42,11 @@ def graph_file(tmp_path):
         return str(path)
 
     return write
+
+
+def _edge_list(g):
+    """The edge-list file text of ``g``, weights in full precision."""
+    return f"{g.n}\n" + "".join(f"{u} {v} {w!r}\n" for u, v, w in g.edges)
 
 
 def _read_matrix(path):
@@ -59,6 +72,15 @@ class TestCompute:
         d = _read_matrix(out)
         assert d[0, 1] == pytest.approx(math.log(2.0), abs=1e-12)
         assert "metric=walk" in capsys.readouterr().err
+
+    def test_csv_spells_each_entry_as_format(self, graph_file, tmp_path):
+        g = cycle_with_chords(np.random.default_rng(3), 40, 40)
+        text = _edge_list(g)
+        out = tmp_path / "d.csv"
+        assert main(["compute", "--input", graph_file(text), "--metric", "forest", "--output", str(out)]) == 0
+        rows = distances.forest_distance(parse_graph(text)).values
+        lines = [",".join(map(str, range(1, g.n + 1)))] + [",".join(map(cli._format, row)) for row in rows]
+        assert out.read_text() == "\n".join(lines) + "\n"
 
     def test_forest_p3(self, graph_file, tmp_path):
         out = str(tmp_path / "d.csv")
@@ -205,12 +227,15 @@ class TestValidate:
 
     def test_json_writer_matches_indented_dumps(self):
         # The violations go through the C encoder; the bytes must be those of
-        # json.dumps(indent=2), non-finite floats included.
+        # json.dumps(indent=2), non-finite floats, signed zeros and 1-, 2- and
+        # 3-digit ids included.
         payload = {"command": "validate", "metric": "path", "params": {"tau": 0.7}, "passed": False}
         found = [
             Violation(1, 2, 3, 0.1, 2.0, False),
             Violation(4, 5, 6, math.inf, -math.inf, True),
             Violation(7, 8, 9, math.nan, 5e-324, False),
+            Violation(10, 64, 100, 0.0, -0.0, True),
+            Violation(999, 1, 12, -0.0, 0.0, False),
         ]
         for violations in (found, found[:1], []):
             expected = json.dumps({**payload, "violations": [vars(v) for v in violations]}, indent=2)
@@ -218,11 +243,51 @@ class TestValidate:
 
     def test_json_writer_joins_reports_in_order(self):
         payload = {"command": "validate", "metric": "shortest", "params": {}, "passed": False}
-        first = (Violation(1, 1, 1, 0.5, 0.0, True), Violation(1, 2, 1, -1.0, 0.0, False))
+        first = (Violation(1, 1, 1, 0.5, 0.0, True), Violation(1, 2, 1, -1.0, 0.0, False)) + self._rows(1500, 1)
         second = (Violation(3, 2, 1, 2.0, 1e300 * 10, False),)
         reports = [ValidationReport(False, first), ValidationReport(True), ValidationReport(False, second)]
         expected = json.dumps({**payload, "violations": [vars(v) for v in first + second]}, indent=2)
         assert _validate_json(payload, reports) == expected
+
+    @staticmethod
+    def _rows(count, seed):
+        """``count`` violations with 1-, 2- and 3-digit ids, both flags, and
+        floats of every json spelling: signed zeros, non-finite values, the
+        smallest subnormal, and reprs of several lengths."""
+        rng = np.random.default_rng(seed)
+        ids = rng.choice((1, 7, 10, 64, 100, 999), size=(count, 3)).tolist()
+        floats = [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -1e300, 1 / 3, *rng.normal(size=8).tolist()]
+        picks = rng.integers(len(floats), size=(count, 2)).tolist()
+        return tuple(Violation(*ids[r], floats[a], floats[b], r % 3 == 0) for r, (a, b) in enumerate(picks))
+
+    @pytest.mark.parametrize("rows", [1, 1023, 1024, 1025, 3000])
+    def test_json_writer_matches_dumps_across_join_chunks(self, rows):
+        payload = {"command": "validate", "metric": "shortest", "params": {}, "passed": False}
+        violations = self._rows(rows, rows)
+        expected = json.dumps({**payload, "violations": [vars(v) for v in violations]}, indent=2)
+        assert _validate_json(payload, [ValidationReport(False, violations)]) == expected
+
+    def test_text_report_on_a_violation_heavy_graph(self, graph_file, capsys):
+        # Over 15,000 shortest-path violations; the text report counts them
+        # all and lists the first 20, as the public checkers give them.
+        text = _edge_list(cycle_with_chords(np.random.default_rng(7), 64, 64))
+        g = parse_graph(text)
+        d = shortest_path_lengths(g)
+        lines = []
+        for label, report in (
+            ("metric-axioms", check_metric_axioms(d)),
+            ("cutpoint-additivity", check_cutpoint_additivity(g, d)),
+        ):
+            status = "passed" if report.passed else f"failed ({len(report.violations)} violations)"
+            lines.append(f"check {label}: {status}")
+            lines.extend(
+                f"  triple ({v.i},{v.j},{v.k}): lhs={v.lhs:.12g} rhs={v.rhs:.12g} expected_equal={v.expected_equal}"
+                for v in report.violations[:20]
+            )
+        lines.append("overall: failed")
+        assert main(["validate", "--input", graph_file(text), "--metric", "shortest"]) == 1
+        assert capsys.readouterr().out == "\n".join(lines) + "\n"
+        assert lines[1].startswith("check cutpoint-additivity: failed (15")
 
     def test_one_label_pass_per_validate(self, graph_file, monkeypatch):
         calls = []

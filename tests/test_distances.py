@@ -2,6 +2,7 @@ import math
 from dataclasses import astuple
 from pathlib import Path
 
+import networkx as nx
 import numpy as np
 import pytest
 
@@ -17,6 +18,7 @@ from cutmetrics import (
     find_tau_threshold,
     forest_distance,
     forest_matrix,
+    is_cutpoint_between,
     log_distance,
     long_walk_distance,
     normalize_distances,
@@ -36,7 +38,22 @@ from cutmetrics import (
 from cutmetrics import linalg, measures
 from cutmetrics.types import ValidationReport, Violation
 
-from conftest import OUT_OF_RANGE_TOLERANCES, c4, clique_edges, complete, diamond, k3, p2, p3, p4, path_edges, paw, star4
+from conftest import (
+    OUT_OF_RANGE_TOLERANCES,
+    as_networkx,
+    c4,
+    clique_edges,
+    complete,
+    cycle_with_chords,
+    diamond,
+    k3,
+    p2,
+    p3,
+    p4,
+    path_edges,
+    paw,
+    star4,
+)
 
 
 class TestLogDistance:
@@ -340,6 +357,32 @@ class TestCheckCutpointAdditivity:
     def test_order_mismatch_rejected(self):
         with pytest.raises(ParameterError):
             check_cutpoint_additivity(p3(), resistance_distance(p2()))
+
+    def test_shortest_violations_match_a_scalar_loop_in_order(self):
+        # Thousands of shortest-path triples are additive with no cutpoint
+        # between them.  The checker must report exactly those a plain loop
+        # over (i, j, k) finds, in the same lexicographic order.
+        g = cycle_with_chords(np.random.default_rng(7), 64, 64)
+        d = shortest_path_lengths(g)
+        x = d.values.tolist()
+        # On distinct vertices is_cutpoint_between holds only where j is a cut vertex.
+        cut = set(nx.articulation_points(as_networkx(g)))
+        expected = []
+        for i in range(1, g.n + 1):
+            for j in range(1, g.n + 1):
+                for k in range(1, g.n + 1):
+                    if i == j or j == k or i == k:
+                        continue
+                    lhs, rhs = x[i - 1][j - 1] + x[j - 1][k - 1], x[i - 1][k - 1]
+                    equal = abs(lhs - rhs) <= 1e-9 * abs(rhs) + measures.EQUALITY_FLOOR
+                    separated = j in cut and is_cutpoint_between(g, j, i, k)
+                    if equal != separated:
+                        expected.append(Violation(i, j, k, lhs, rhs, separated))
+        report = check_cutpoint_additivity(g, d)
+        triples = [(v.i, v.j, v.k) for v in report.violations]
+        assert len(triples) > 10_000 and cut == {1, 63}
+        assert triples == sorted(triples)
+        assert report.violations == tuple(expected)
 
 
 class TestNormalizeDistances:
