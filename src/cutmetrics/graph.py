@@ -62,10 +62,15 @@ class Graph:
                 raise GraphInputError(f"edge ({iu}, {iv}) has {kind} weight {w!r}")
             canonical.append((iu, iv, w))
         object.__setattr__(self, "edges", tuple(canonical))
-        reached = _bfs(self.neighbor_sets(), 1)
+        adj = self.neighbor_sets()
+        reached = _bfs(adj, 1)
         if len(reached) < n:
             unreached = next(v for v in range(1, n + 1) if v not in reached)
             raise GraphInputError(f"graph is disconnected: vertex {unreached} unreachable from vertex 1")
+        # Kept for the graph's searches, indexed by vertex id: an attribute,
+        # not a field, so equality, hashing and repr read n and edges alone.
+        # Tuples in the sets' order take a fifth of their memory.
+        object.__setattr__(self, "_neighbors", tuple(tuple(adj[v]) for v in range(n + 1)))
 
     def neighbor_sets(self) -> defaultdict[int, set[int]]:
         """Adjacency sets keyed by vertex id, loops omitted.  Only vertices
@@ -78,9 +83,10 @@ class Graph:
         return adj
 
 
-def _bfs(adj: dict[int, set[int]], start: int, removed: int = 0) -> dict[int, int]:
+def _bfs(adj, start: int, removed: int = 0) -> dict[int, int]:
     """Hop count from ``start`` to every vertex it reaches without entering
-    ``removed`` (0, which is no vertex id, removes nothing)."""
+    ``removed`` (0, which is no vertex id, removes nothing); ``adj[v]``
+    holds the neighbors of vertex id ``v``."""
     hops = {start: 0}
     queue = deque([start])
     while queue:
@@ -165,7 +171,7 @@ def is_cutpoint_between(g: Graph, j: int, i: int, k: int) -> bool:
             raise GraphInputError(f"vertex id out of range 1..{g.n}: {v}")
     if j == i or j == k:
         return True
-    return k not in _bfs(g.neighbor_sets(), i, removed=j)
+    return k not in _bfs(g._neighbors, i, removed=j)
 
 
 class _BlockCutTree(NamedTuple):
@@ -194,7 +200,7 @@ class _BlockCutTree(NamedTuple):
 def _block_cut_tree(g: Graph) -> _BlockCutTree:
     """The block-cut tree by the Hopcroft-Tarjan low-point pass, O(n + m),
     with an explicit stack in place of recursion."""
-    adj = g.neighbor_sets()
+    adj = g._neighbors
     found = [0] * (g.n + 1)  # discovery rank, from 1; 0 while undiscovered
     low = [0] * (g.n + 1)
     order = [1]
@@ -280,7 +286,7 @@ def cutpoint_table(g: Graph) -> np.ndarray:
 def shortest_path_lengths(g: Graph) -> DistanceMatrix:
     """Edge-count shortest-path distances (weights and loops ignored),
     by breadth-first search from every vertex."""
-    adj = g.neighbor_sets()
+    adj = g._neighbors
     values = np.zeros((g.n, g.n))
     for s in range(1, g.n + 1):
         hops = _bfs(adj, s)

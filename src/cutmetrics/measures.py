@@ -206,10 +206,13 @@ def connection_reliability(g: Graph, max_paths_per_pair: int = PATHS_PER_PAIR_CA
     return TransitionalMeasure("reliability", s)
 
 
-def _forest_system(g: Graph, t: float) -> np.ndarray:
-    """``I + t L``: the forest matrix is ``det(I + tL) (I + tL)^-1``.  A ``t``
-    so large that ``t L`` or the 1-norm ``linalg.invert`` takes of the
-    system overflows is refused here."""
+def _forest_system(g: Graph, t: float) -> tuple[np.ndarray, np.ndarray]:
+    """``I + t L`` and its ``linalg.invert``: the forest matrix is
+    ``det(I + tL) (I + tL)^-1``.  A ``t`` so large that ``t L`` or the
+    1-norm ``linalg.invert`` takes of the system overflows is refused, and
+    so is one that leaves the system too ill-conditioned to invert, with a
+    message that names ``t``: the condition grows like ``t`` times the
+    largest Laplacian eigenvalue."""
     if not t > 0.0:
         raise ParameterError(f"edge-scale parameter must be positive, got {t}")
     with np.errstate(over="ignore", invalid="ignore"):
@@ -217,7 +220,10 @@ def _forest_system(g: Graph, t: float) -> np.ndarray:
         norm = np.abs(system).sum(axis=0).max()
     if not norm < np.inf:
         raise ParameterError(f"edge-scale parameter t={t!r} overflows a float in I + tL")
-    return system
+    try:
+        return system, linalg.invert(system)
+    except NumericError as exc:
+        raise NumericError(f"edge-scale parameter t={t!r} leaves I + tL too ill-conditioned to invert: {exc}") from None
 
 
 def _forest_inverse(g: Graph, t: float) -> TransitionalMeasure:
@@ -225,18 +231,7 @@ def _forest_inverse(g: Graph, t: float) -> TransitionalMeasure:
     determinant factor, which overflows on large graphs.  The log distance
     and the log-space measure check are scale-invariant, so both read it in
     place of :func:`forest_matrix`."""
-    return TransitionalMeasure("forest", _invert_forest_system(_forest_system(g, t), t), {"t": t})
-
-
-def _invert_forest_system(system: np.ndarray, t: float) -> np.ndarray:
-    """``linalg.invert`` of ``I + tL``, with a refusal that names ``t``:
-    the condition of the system grows like ``t`` times the largest
-    Laplacian eigenvalue, so a large finite ``t`` is what makes it
-    near-singular."""
-    try:
-        return linalg.invert(system)
-    except NumericError as exc:
-        raise NumericError(f"edge-scale parameter t={t!r} leaves I + tL too ill-conditioned to invert: {exc}") from None
+    return TransitionalMeasure("forest", _forest_system(g, t)[1], {"t": t})
 
 
 def forest_matrix(g: Graph, t: float = 1.0) -> TransitionalMeasure:
@@ -248,9 +243,8 @@ def forest_matrix(g: Graph, t: float = 1.0) -> TransitionalMeasure:
     :class:`NumericError` when the determinant factor overflows a float;
     the forest distance is scale-invariant and never forms it.
     """
-    m = _forest_system(g, t)
+    m, inverse = _forest_system(g, t)
     log_det = np.linalg.slogdet(m)[1]
-    inverse = _invert_forest_system(m, t)
     if not log_det + np.log(inverse.max()) < linalg.LOG_FLOAT_MAX:
         raise NumericError(
             f"det(I+tL) overflows a float (ln det = {log_det:.6g}), so the forest matrix cannot be formed; "
@@ -447,44 +441,34 @@ def find_tau_threshold(
     """Largest path-discount ``tau`` (within ``precision``) at which the
     path measure still validates.
 
-    Bisection between a passing and a failing sample, seeded at ``1/rho``
-    and doubled until validation fails.  Each sample tests every triple in
-    one vectorized pass with the failure rule of
+    The bracket starts at ``(0, 1/rho]`` and doubles its upper end while
+    that end validates, then bisects between the last passing and the first
+    failing sample until the bracket is no wider than ``precision`` or no
+    float lies strictly inside it.  Each sample tests every triple in one
+    vectorized pass with the failure rule of
     :func:`validate_transitional_measure`, and builds no report.  The
-    validator outcome is assumed monotone in ``tau`` only heuristically, so
-    the returned value is re-validated and a failure raises instead of
-    returning silently.
+    returned ``tau`` is a sample that validated; the outcome is assumed
+    monotone in ``tau`` only heuristically.
     """
     if not precision > 0.0:
         raise ParameterError(f"precision must be positive, got {precision}")
     _tolerance(tol)
 
     start = 1.0 / linalg._spectral_radius(adjacency_matrix(g))
+    lo, hi = 0.0, start
     # The first sample raises above the vertex cap, before the mask exists.
-    first = path_accessibility(g, start, max_vertices).matrix
+    s = path_accessibility(g, hi, max_vertices).matrix
     failures = _transition_test(g, tol)
-
-    def passes(tau: float) -> bool:
-        return not failures(path_accessibility(g, tau, max_vertices).matrix)
-
-    if not failures(first):
-        lo, hi = start, 2.0 * start
-        doublings = 0
-        while passes(hi):
-            lo, hi = hi, 2.0 * hi
-            doublings += 1
-            if doublings > 60:
-                raise NumericError("path measure validated at every tau up to 2^60 / rho")
-    else:
-        lo, hi = 0.0, start
-    while hi - lo > precision:
-        mid = 0.5 * (lo + hi)
-        if passes(mid):
-            lo = mid
-        else:
+    while not failures(s):
+        if hi > 2.0**60 * start:
+            raise NumericError("path measure validated at every tau up to 2^60 / rho")
+        lo, hi = hi, 2.0 * hi
+        s = path_accessibility(g, hi, max_vertices).matrix
+    while hi - lo > precision and lo < (mid := 0.5 * (lo + hi)) < hi:
+        if failures(path_accessibility(g, mid, max_vertices).matrix):
             hi = mid
+        else:
+            lo = mid
     if lo == 0.0:
         raise NumericError(f"path measure failed validation at every sampled tau down to {hi!r}")
-    if not passes(lo):
-        raise NumericError(f"non-monotone validation outcome: tau={lo!r} failed re-validation")
     return lo

@@ -530,6 +530,11 @@ class TestValidationReport:
         report = check_cutpoint_additivity(p4(), forest_distance(p4()))
         assert report.passed and report.violations == () and report == ValidationReport(True)
 
+    def test_unequal_to_other_types(self):
+        report = ValidationReport(True)
+        assert report.__eq__(object()) is NotImplemented
+        assert (report == object()) is False
+
     def test_immutable_and_consistent(self):
         report = check_cutpoint_additivity(c4(), shortest_path_lengths(c4()))
         with pytest.raises(AttributeError):

@@ -162,6 +162,13 @@ class TestCutpointOracle:
             is_cutpoint_between(p3(), 9, 1, 2)
         assert str(refused.value) == "vertex id out of range 1..3: 9"
 
+    def test_reads_the_neighbor_sets_kept_by_the_graph(self, monkeypatch):
+        g = p4()
+        calls = []
+        monkeypatch.setattr(Graph, "neighbor_sets", lambda self: calls.append(self))
+        assert is_cutpoint_between(g, 2, 1, 4) and not is_cutpoint_between(g, 4, 1, 3)
+        assert calls == []
+
     def test_symmetric_in_endpoints(self, small_corpus):
         for g in small_corpus[:10]:
             for j in range(1, g.n + 1):
@@ -344,3 +351,10 @@ class TestGraphConstruction:
     def test_hashable_value_object(self):
         assert hash(p2()) == hash(p2())
         assert p2() == p2()
+
+    def test_kept_neighbor_sets_are_no_field(self):
+        g = p3()
+        assert repr(g) == "Graph(n=3, edges=((1, 2, 1.0), (2, 3, 1.0)))"
+        assert g._neighbors == ((), (2,), (1, 3), (2,))
+        assert g.neighbor_sets() == {1: {2}, 2: {1, 3}, 3: {2}}
+        assert g.neighbor_sets() is not g.neighbor_sets()

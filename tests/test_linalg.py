@@ -212,6 +212,18 @@ class TestSpectralData:
         with pytest.raises(ParameterError):
             spectral_data(np.zeros((2, 2)))
 
+    def test_eigen_residual_refused(self, monkeypatch):
+        original = np.linalg.eigh
+
+        def tilted(a):
+            values, vectors = original(a)
+            vectors[0, -1] += 0.1
+            return values, vectors
+
+        monkeypatch.setattr(np.linalg, "eigh", tilted)
+        with pytest.raises(NumericError, match=r"eigen-residual \S+ exceeds 1e-12 \* rho"):
+            spectral_data(adjacency_matrix(k3()))
+
     def test_tiny_spectral_gap(self):
         # Two K7 cliques, weights 1 and 1.00001, joined by a 20-vertex path:
         # the top two eigenvalues differ by about 6e-5.

@@ -504,10 +504,14 @@ class TestFindTauThreshold:
         distances.path_distance(paw(), tau / 2)
         assert len(calls) == 1
 
-    def test_vertex_cap(self):
+    def test_vertex_cap(self, monkeypatch):
+        # Refused before the n^3 separation mask is built.
+        calls = []
+        monkeypatch.setattr(measures, "_separation_mask", lambda g: calls.append(g))
         edges = tuple((v, v + 1, 1.0) for v in range(1, 13))
         with pytest.raises(CapExceededError, match="capped at 12 vertices, graph has 13"):
             find_tau_threshold(Graph(13, edges))
+        assert calls == []
 
     def test_builds_no_report(self, monkeypatch, small_corpus):
         calls = []
@@ -538,6 +542,38 @@ class TestFindTauThreshold:
         tau = find_tau_threshold(g, precision=1e-6)
         assert 0.1999 < tau < 0.2
         assert validate_transitional_measure(g, path_accessibility(g, tau)).passed
+
+    def test_returns_where_the_float_spacing_exceeds_precision(self):
+        # tau* ~ 6.2e10, where adjacent floats lie about 8e-6 apart: the
+        # bisection must stop once no float lies inside the bracket.
+        g = Graph(3, ((1, 2, 1e-11), (2, 3, 1e-11), (1, 3, 1e-11)))
+        tau = find_tau_threshold(g)
+        assert validate_transitional_measure(g, path_accessibility(g, tau)).passed
+        assert tau * 1e-11 == pytest.approx((math.sqrt(5) - 1) / 2, abs=1e-6)
+
+    def test_returns_at_a_precision_below_the_float_spacing(self):
+        tau = find_tau_threshold(k3(), precision=1e-20)
+        assert tau == pytest.approx(find_tau_threshold(k3()), abs=1e-6)
+        assert validate_transitional_measure(k3(), path_accessibility(k3(), tau)).passed
+
+    @pytest.mark.parametrize(
+        "verdict, samples, message",
+        [
+            (0, 62, r"path measure validated at every tau up to 2\^60 / rho"),
+            (1, 20, r"path measure failed validation at every sampled tau down to 9\.53674316406\d*e-07"),
+        ],
+        ids=["always-passes", "always-fails"],
+    )
+    def test_refuses_a_validator_that_never_changes_its_verdict(self, monkeypatch, verdict, samples, message):
+        # Passing: 1/rho and its 61 doublings up to 2^61 / rho.  Failing: 1/rho
+        # and 19 halvings, to the first bracket no wider than 1e-6.
+        taus = []
+        original = measures.path_accessibility
+        monkeypatch.setattr(measures, "path_accessibility", lambda g, tau, cap: taus.append(tau) or original(g, tau, cap))
+        monkeypatch.setattr(measures, "_transition_test", lambda g, tol: lambda s: verdict)
+        with pytest.raises(NumericError, match=message):
+            find_tau_threshold(k3())
+        assert len(taus) == samples
 
 
 def _report_search(g, precision=1e-6, tol=1e-9):

@@ -4,6 +4,7 @@ import pytest
 from cutmetrics import (
     CapExceededError,
     Graph,
+    GraphInputError,
     NumericError,
     ParameterError,
     Path,
@@ -51,6 +52,12 @@ class TestEnumeratePaths:
         edges = tuple((v, v + 1, 1.0) for v in range(1, 13))
         with pytest.raises(CapExceededError):
             enumerate_paths(Graph(13, edges), 1, 13)
+
+    @pytest.mark.parametrize("i, j, bad", [(0, 2, 0), (1, 4, 4)])
+    def test_vertex_out_of_range(self, i, j, bad):
+        with pytest.raises(GraphInputError) as refused:
+            enumerate_paths(p3(), i, j)
+        assert str(refused.value) == f"vertex id out of range 1..3: {bad}"
 
 
 class TestTruncatedWalkSum:
@@ -131,6 +138,12 @@ class TestReliabilityByEdgeStates:
         edges = tuple((1, 2, 0.5) for _ in range(21))
         with pytest.raises(CapExceededError):
             reliability_by_edge_states(Graph(2, edges), 1, 2)
+
+    @pytest.mark.parametrize("i, j, bad", [(0, 2, 0), (1, 4, 4)])
+    def test_vertex_out_of_range(self, i, j, bad):
+        with pytest.raises(GraphInputError) as refused:
+            reliability_by_edge_states(p3(), i, j)
+        assert str(refused.value) == f"vertex id out of range 1..3: {bad}"
 
     def test_loops_do_not_matter(self):
         plain = parse_graph("2\n1 2 0.7")
