@@ -3,8 +3,8 @@
 A graph is a frozen value object with 1-based vertex ids.  Parallel edges
 and loops are kept as distinct edge instances; connectivity (ignoring
 loops) is enforced at construction because every downstream computation
-assumes it.  Loops contribute to the adjacency diagonal but cancel out of
-the Laplacian.
+assumes it.  Loops contribute to the adjacency diagonal and leave the
+Laplacian unchanged.
 """
 
 from __future__ import annotations
@@ -155,8 +155,9 @@ def adjacency_matrix(g: Graph) -> np.ndarray:
 
 
 def laplacian(g: Graph) -> np.ndarray:
-    """Weighted Laplacian ``diag(A 1) - A``; loops cancel out."""
+    """Weighted Laplacian ``diag(A 1) - A``, its loops zeroed from ``A`` first."""
     a = adjacency_matrix(g)
+    np.fill_diagonal(a, 0.0)
     return np.diag(a.sum(axis=1)) - a
 
 

@@ -147,7 +147,15 @@ def _invert(a: np.ndarray, inv: np.ndarray | None) -> np.ndarray:
 def _spectral_radius(a) -> float:
     """Largest eigenvalue of a symmetric nonnegative matrix, from
     ``numpy.linalg.eigvalsh``, for callers that need no Perron vector."""
-    return float(np.linalg.eigvalsh(_as_adjacency(a))[-1])
+    return float(_eigensolve(np.linalg.eigvalsh, _as_adjacency(a))[-1])
+
+
+def _eigensolve(solver, a: np.ndarray):
+    """``solver(a)``, its failure to converge raised as :class:`NumericError`."""
+    try:
+        return solver(a)
+    except np.linalg.LinAlgError as exc:
+        raise NumericError(f"eigensolver failed: {exc}") from None
 
 
 def spectral_data(a) -> SpectralData:
@@ -155,11 +163,11 @@ def spectral_data(a) -> SpectralData:
     symmetric adjacency matrix, from ``numpy.linalg.eigh``.
 
     The top eigenvector is sign-fixed and normalized to sum 1.  Raises
-    :class:`NumericError` when its eigen-residual exceeds
-    ``EIGEN_RESIDUAL_RTOL * rho`` or an entry is not strictly positive: on
-    disconnected input, and where the smallest Perron entries lie below
-    the eigensolver's precision, about 1e-16 of the largest (long chains
-    of blocks).
+    :class:`NumericError` when ``eigh`` does not converge, when its
+    eigen-residual exceeds ``EIGEN_RESIDUAL_RTOL * rho``, or when an entry
+    is not strictly positive: on disconnected input, and where the smallest
+    Perron entries lie below the eigensolver's precision, about 1e-16 of
+    the largest (long chains of blocks).
     """
     values, vectors = _perron_eigh(a)
     v = vectors[:, -1]
@@ -173,7 +181,7 @@ def _perron_eigh(a) -> tuple[np.ndarray, np.ndarray]:
     pair is checked as :func:`spectral_data` documents; the other columns
     are returned as ``eigh`` gives them."""
     mat = _as_adjacency(a)
-    values, vectors = np.linalg.eigh(mat)
+    values, vectors = _eigensolve(np.linalg.eigh, mat)
     rho = float(values[-1])
     if vectors[:, -1].sum() < 0.0:
         vectors[:, -1] *= -1.0

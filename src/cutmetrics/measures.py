@@ -127,7 +127,7 @@ def path_accessibility(g: Graph, tau: float, max_vertices: int = PATH_VERTEX_CAP
     # Reducing over the outer axis adds each entry's buckets one at a time
     # by ascending length, one rounding per term; a zero term adds an exact
     # +0.0, so the result equals the sum of the nonzero buckets alone.
-    with np.errstate(over="ignore"):  # an overflowing entry is refused as non-finite below
+    with np.errstate(over="ignore", invalid="ignore"):  # inf and inf * 0 are refused as non-finite below
         s = np.add.reduce(scales[:, None, None] * weights, axis=0)
     return TransitionalMeasure("path", s, {"tau": tau})
 
@@ -317,11 +317,6 @@ def _gap_triples(x: np.ndarray, tests, labels) -> list[np.ndarray]:
     return out
 
 
-def _report(triples: np.ndarray, lhs: np.ndarray, rhs: np.ndarray, expected: np.ndarray) -> ValidationReport:
-    """A report with one violation per row of 0-based ``triples``."""
-    return ValidationReport._from_columns(triples + 1, lhs, rhs, expected)
-
-
 def _tolerance(tol: float) -> float:
     """A checker's ``tol``, refused unless it lies in [0, inf)."""
     if not 0.0 <= tol < math.inf:
@@ -384,17 +379,18 @@ def _checks(x: np.ndarray, labels, tol: float, names, s: TransitionalMeasure | N
         if name == "transitional-measure":
             m = s.matrix
             with np.errstate(over="ignore"):  # products of huge entries may overflow; their logs do not
-                reports.append(_report(triples, m[i, j] * m[j, k], m[i, k] * m[j, j], _separated(labels, i, j, k)))
+                columns = triples, m[i, j] * m[j, k], m[i, k] * m[j, j], _separated(labels, i, j, k)
         elif name == "metric-axioms":
-            reports.append(_axioms_report(x, tol, triples))
+            columns = _axioms_columns(x, tol, triples)
         else:
-            reports.append(_report(triples, x[i, j] + x[j, k], x[i, k], _separated(labels, i, j, k)))
+            columns = triples, x[i, j] + x[j, k], x[i, k], _separated(labels, i, j, k)
+        reports.append(ValidationReport._from_columns(*columns))
     return reports
 
 
-def _axioms_report(v: np.ndarray, tol: float, triangle: np.ndarray) -> ValidationReport:
-    """The metric-axioms report of ``v``: its diagonal, symmetry and
-    positivity failures, then its failing ``triangle`` triples."""
+def _axioms_columns(v: np.ndarray, tol: float, triangle: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The columns of the metric-axioms report of ``v``, triples 0-based: its
+    diagonal, symmetry and positivity failures, then its failing ``triangle`` triples."""
     diag = np.diag(v)
     loops = np.flatnonzero(np.abs(diag) > EQUALITY_FLOOR)
     upper, lower = np.triu_indices(len(v), 1)
@@ -403,7 +399,7 @@ def _axioms_report(v: np.ndarray, tol: float, triangle: np.ndarray) -> Validatio
     pair, kind = np.nonzero(np.column_stack((asymmetric, ~(a > 0.0))))  # per pair, symmetry first
     symmetry = kind == 0
     i, j, k = triangle.T
-    return _report(
+    return (
         np.concatenate((np.repeat(loops, 3).reshape(-1, 3), np.column_stack((upper, lower, upper))[pair], triangle)),
         np.concatenate((diag[loops], a[pair], v[i, k])),
         np.concatenate((np.zeros(len(loops)), np.where(symmetry, b[pair], 0.0), v[i, j] + v[j, k])),

@@ -48,10 +48,10 @@ class Violation:
 class ValidationReport:
     """Pass/fail evidence for a structural check.
 
-    The checkers store their violations as columns: the 1-based (i, j, k)
-    triples and the lhs, rhs and expected_equal arrays.  ``violations``
-    builds the tuple of :class:`Violation` from them on first read.
-    Immutable, and compared and hashed by ``(passed, violations)``.
+    The violations are stored as columns: the 1-based (i, j, k) triples
+    and the lhs, rhs and expected_equal arrays.  ``violations`` builds the
+    tuple of :class:`Violation` from them on first read.  Immutable, and
+    compared and hashed by ``(passed, violations)``.
     """
 
     __slots__ = ("passed", "_violations", "_columns")
@@ -60,15 +60,22 @@ class ValidationReport:
         violations = tuple(violations)
         if passed != (len(violations) == 0):
             raise ValueError("passed flag inconsistent with violation list")
-        for name, value in (("passed", passed), ("_violations", violations), ("_columns", None)):
+        columns = (
+            np.array([(v.i, v.j, v.k) for v in violations], dtype=int).reshape(-1, 3),
+            np.array([v.lhs for v in violations], dtype=float),
+            np.array([v.rhs for v in violations], dtype=float),
+            np.array([v.expected_equal for v in violations], dtype=bool),
+        )
+        for name, value in (("passed", passed), ("_violations", None), ("_columns", columns)):
             object.__setattr__(self, name, value)
 
     @classmethod
     def _from_columns(
         cls, triples: np.ndarray, lhs: np.ndarray, rhs: np.ndarray, expected: np.ndarray
     ) -> "ValidationReport":
+        """A report with one violation per row of the 0-based ``triples``."""
         report = cls.__new__(cls)
-        columns = (triples, lhs, rhs, expected)
+        columns = (triples + 1, lhs, rhs, expected)
         for name, value in (("passed", len(lhs) == 0), ("_violations", None), ("_columns", columns)):
             object.__setattr__(report, name, value)
         return report
@@ -83,15 +90,6 @@ class ValidationReport:
 
     def _table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """The columns ``(triples, lhs, rhs, expected)``."""
-        if self._columns is None:
-            rows = self._violations
-            columns = (
-                np.array([(v.i, v.j, v.k) for v in rows], dtype=int).reshape(-1, 3),
-                np.array([v.lhs for v in rows], dtype=float),
-                np.array([v.rhs for v in rows], dtype=float),
-                np.array([v.expected_equal for v in rows], dtype=bool),
-            )
-            object.__setattr__(self, "_columns", columns)
         return self._columns
 
     def __setattr__(self, name: str, value=None) -> None:

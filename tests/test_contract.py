@@ -1,0 +1,131 @@
+"""The typed-outcome contract: on any connected graph, every public distance,
+measure and checker returns finite values or raises a ``CutMetricsError``."""
+
+import contextlib
+import io
+import json
+import warnings
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from cutmetrics import (
+    CutMetricsError,
+    Graph,
+    adjacency_matrix,
+    check_cutpoint_additivity,
+    check_metric_axioms,
+    connection_reliability,
+    find_tau_threshold,
+    forest_distance,
+    forest_matrix,
+    log_distance,
+    long_walk_distance,
+    normalize_distances,
+    path_accessibility,
+    path_distance,
+    reliability_distance,
+    rescaled_long_walk_distance,
+    resistance_distance,
+    shortest_path_lengths,
+    spectral_data,
+    validate_transitional_measure,
+    walk_distance,
+    walk_matrix,
+)
+from cutmetrics.cli import main
+
+
+@st.composite
+def wide_multigraphs(draw):
+    """A random spanning tree on 2 to 12 vertices plus up to n more edges,
+    loops and parallel edges among them, weights log-uniform over
+    [1e-300, 1e300]."""
+    n = draw(st.integers(2, 12))
+    weight = st.floats(-300.0, 300.0).map(lambda exponent: 10.0**exponent)
+    ends = st.integers(1, n)
+    edges = [(draw(st.integers(1, v - 1)), v, draw(weight)) for v in range(2, n + 1)]
+    edges += [(draw(ends), draw(ends), draw(weight)) for _ in range(draw(st.integers(0, n)))]
+    return Graph(n, tuple(edges))
+
+
+def _typed(call, *args):
+    """``call(*args)``, or None when it raises a :class:`CutMetricsError`;
+    any other exception propagates."""
+    try:
+        return call(*args)
+    except CutMetricsError:
+        return None
+
+
+def _assert_sound(report):
+    triples, lhs, rhs, _ = report._table()
+    assert report.passed == (len(lhs) == 0) and triples.shape == (len(lhs), 3)
+    # The compared quantities may overflow to inf, but never compare garbage.
+    assert not (np.isnan(lhs).any() or np.isnan(rhs).any())
+
+
+def _cli(path, out, *args):
+    """Exit code of ``cutmetrics`` with ``args`` on the graph file ``path``,
+    writing to ``out``: a typed failure maps to an exit code, anything
+    else propagates."""
+    out.unlink(missing_ok=True)
+    with contextlib.redirect_stderr(io.StringIO()):
+        code = main([*args, "--input", str(path), "--output", str(out)])
+    assert code in (0, 1, 2, 3)
+    return code
+
+
+@pytest.fixture(scope="module")
+def workdir(tmp_path_factory):
+    return tmp_path_factory.mktemp("contract")
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(g=wide_multigraphs())
+def test_every_call_returns_finite_values_or_raises_a_typed_error(g, workdir):
+    path, out = workdir / "graph.txt", workdir / "out.txt"
+    path.write_text(f"{g.n}\n" + "".join(f"{u} {v} {w!r}\n" for u, v, w in g.edges))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        # The largest row sum bounds rho, so t stays below 1/rho.
+        t = 0.5 / adjacency_matrix(g).sum(axis=1).max()
+        tau = _typed(find_tau_threshold, g)
+        assert tau is None or 0.0 < tau < np.inf
+        spectral = _typed(spectral_data, adjacency_matrix(g))
+        assert spectral is None or np.isfinite([spectral.rho, *spectral.perron]).all()
+
+        measures = [
+            _typed(path_accessibility, g, t),
+            _typed(connection_reliability, g),
+            _typed(forest_matrix, g),
+            _typed(walk_matrix, g, t),
+        ]
+        distances = [
+            _typed(path_distance, g, t if tau is None else tau / 2.0),
+            _typed(reliability_distance, g),
+            _typed(forest_distance, g),
+            _typed(walk_distance, g, t),
+            _typed(resistance_distance, g),
+            _typed(long_walk_distance, g),
+            _typed(rescaled_long_walk_distance, g),
+            shortest_path_lengths(g),
+        ]
+        for s in filter(None, measures):
+            assert np.isfinite(s.matrix).all()
+            _assert_sound(validate_transitional_measure(g, s))
+            distances.append(_typed(log_distance, s))
+        for d in filter(None, distances):
+            assert np.isfinite(d.values).all()
+            _assert_sound(check_metric_axioms(d))
+            _assert_sound(check_cutpoint_additivity(g, d))
+            scaled = _typed(normalize_distances, d, [(1, 2)], 3.0)
+            assert scaled is None or np.isfinite(scaled.values).all()
+
+        for metric in ("forest", "resistance", "longwalk", "shortest"):
+            if _cli(path, out, "compute", "--metric", metric) == 0:
+                assert np.isfinite(np.loadtxt(out, delimiter=",", skiprows=1, ndmin=2)).all()
+            code = _cli(path, out, "validate", "--metric", metric, "--json")
+            if out.exists():
+                assert json.loads(out.read_text())["passed"] == (code == 0)

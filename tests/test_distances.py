@@ -155,8 +155,8 @@ class TestDistanceFamilies:
 
     def test_path_distance_builds_no_report_when_valid(self, monkeypatch, small_corpus):
         calls = []
-        original = measures._report
-        monkeypatch.setattr(measures, "_report", lambda *args: calls.append(args) or original(*args))
+        original = ValidationReport._from_columns
+        monkeypatch.setattr(ValidationReport, "_from_columns", lambda *args: calls.append(args) or original(*args))
         for g in small_corpus[:6]:
             path_distance(g, find_tau_threshold(g, precision=1e-4) / 2.0)
         assert calls == []

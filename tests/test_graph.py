@@ -10,9 +10,11 @@ from cutmetrics import (
     GraphInputError,
     adjacency_matrix,
     check_metric_axioms,
+    forest_distance,
     is_cutpoint_between,
     laplacian,
     parse_graph,
+    resistance_distance,
     separation_labels,
     shortest_path_lengths,
 )
@@ -114,6 +116,16 @@ class TestMatrices:
         plain = p2()
         looped = parse_graph("2\n1 1 5.0\n1 2 1.0")
         assert laplacian(looped).tolist() == laplacian(plain).tolist()
+
+    @pytest.mark.parametrize("weight", [5.0, 1e6, 1e10])
+    def test_loops_leave_laplacian_and_distances_unchanged(self, weight):
+        # A loop counted into the degree and subtracted again rounded the
+        # degree away: at 1e6 resistance was off by 8.6e-12 relative, and at
+        # 1e10 the Laplacian left the kernel check and resistance raised.
+        plain = Graph(3, ((1, 2, 0.1), (2, 3, 0.3)))
+        looped = Graph(3, plain.edges + ((2, 2, weight), (3, 3, weight)))
+        for build in (laplacian, lambda g: forest_distance(g).values, lambda g: resistance_distance(g).values):
+            assert build(looped).tobytes() == build(plain).tobytes()
 
     def test_adjacency_symmetric_nonnegative_on_corpus(self, small_corpus):
         for g in small_corpus:

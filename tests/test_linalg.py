@@ -1,3 +1,5 @@
+import contextlib
+
 import numpy as np
 import pytest
 
@@ -9,8 +11,11 @@ from cutmetrics import (
     determinant,
     invert,
     laplacian,
+    long_walk_distance,
+    rescaled_long_walk_distance,
     spectral_data,
     symmetric_pseudoinverse,
+    walk_matrix,
 )
 from cutmetrics import linalg
 
@@ -223,6 +228,35 @@ class TestSpectralData:
         monkeypatch.setattr(np.linalg, "eigh", tilted)
         with pytest.raises(NumericError, match=r"eigen-residual \S+ exceeds 1e-12 \* rho"):
             spectral_data(adjacency_matrix(k3()))
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: spectral_data(adjacency_matrix(k3())),
+            lambda: linalg._spectral_radius(adjacency_matrix(k3())),
+            lambda: long_walk_distance(k3()),
+            lambda: rescaled_long_walk_distance(k3()),
+            lambda: walk_matrix(k3(), 0.9),  # t above 1/rho: rho words the refusal
+        ],
+        ids=["spectral_data", "radius", "long_walk", "rescaled_long_walk", "walk"],
+    )
+    def test_unconverged_eigensolver_is_numeric_error(self, monkeypatch, call):
+        def unconverged(a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", unconverged)
+        monkeypatch.setattr(np.linalg, "eigvalsh", unconverged)
+        with pytest.raises(NumericError, match="eigensolver failed: Eigenvalues did not converge"):
+            call()
+
+    def test_weights_spread_over_300_orders_give_a_typed_outcome(self):
+        # With OpenBLAS's LAPACK, eigh does not converge on this tree; any
+        # other exception fails the test.
+        edges = ((1, 2, 1e26), (1, 3, 1e-22), (2, 4, 1e-131), (4, 5, 1e-150), (5, 6, 1e-48), (6, 7, 1e33), (1, 8, 1e-124))
+        g = Graph(8, edges)
+        for call in (lambda: spectral_data(adjacency_matrix(g)), lambda: long_walk_distance(g)):
+            with contextlib.suppress(NumericError):
+                call()
 
     def test_tiny_spectral_gap(self):
         # Two K7 cliques, weights 1 and 1.00001, joined by a 20-vertex path:

@@ -1,5 +1,6 @@
 import math
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from cutmetrics import (
     NumericError,
     ParameterError,
     TransitionalMeasure,
+    ValidationReport,
     adjacency_matrix,
     connection_reliability,
     enumerate_paths,
@@ -127,6 +129,19 @@ class TestPathAccessibility:
         # tau is finite, but tau * 1e300 is not.
         with pytest.raises(NumericError, match="non-finite"):
             path_accessibility(Graph(2, ((1, 2, 1e300),)), 1e10)
+
+    def test_overflowing_weight_under_a_vanishing_discount_is_numeric_error(self):
+        # Paths of three 1e108 edges overflow to inf while tau**3 underflows
+        # to 0; their product is NaN, refused with no RuntimeWarning.
+        g = Graph(4, tuple(clique_edges(range(1, 5), 1e108)))
+        tau = 1.0 / linalg._spectral_radius(adjacency_matrix(g))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for call in (path_accessibility, distances.path_distance):
+                with pytest.raises(NumericError, match="non-finite"):
+                    call(g, tau)
+            with pytest.raises(NumericError, match="non-finite"):
+                find_tau_threshold(g)
 
     def test_traversals_agree_on_path_sets(self, corpus):
         # Both multiply the edge weights along the path, so weights are bit-equal.
@@ -515,8 +530,8 @@ class TestFindTauThreshold:
 
     def test_builds_no_report(self, monkeypatch, small_corpus):
         calls = []
-        original = measures._report
-        monkeypatch.setattr(measures, "_report", lambda *args: calls.append(args) or original(*args))
+        original = ValidationReport._from_columns
+        monkeypatch.setattr(ValidationReport, "_from_columns", lambda *args: calls.append(args) or original(*args))
         for g in small_corpus[:6]:
             find_tau_threshold(g, precision=1e-6)
         assert calls == []
