@@ -48,10 +48,6 @@ def _as_adjacency(m) -> np.ndarray:
     return a
 
 
-def _norm1(a: np.ndarray) -> float:
-    return float(np.abs(a).sum(axis=0).max())
-
-
 def determinant(m) -> float:
     """Determinant from ``numpy.linalg.slogdet``; 0.0 for exactly singular
     input.  Raises :class:`NumericError` when ``|det|`` overflows a float."""
@@ -138,7 +134,8 @@ def _invert(a: np.ndarray, inv: np.ndarray | None) -> np.ndarray:
             inv = np.linalg.inv(a)
         except np.linalg.LinAlgError:
             raise NumericError("singular matrix: zero pivot during LU factorization") from None
-    cond = _norm1(a) * _norm1(inv)
+    # A product of Python floats overflows to inf without a warning.
+    cond = float(np.linalg.norm(a, 1)) * float(np.linalg.norm(inv, 1))
     if not cond <= CONDITION_LIMIT:
         raise NumericError(f"matrix near-singular: condition estimate {cond:.3e} exceeds {CONDITION_LIMIT:.0e}")
     return inv

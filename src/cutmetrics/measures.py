@@ -217,7 +217,7 @@ def _forest_system(g: Graph, t: float) -> tuple[np.ndarray, np.ndarray]:
         raise ParameterError(f"edge-scale parameter must be positive, got {t}")
     with np.errstate(over="ignore", invalid="ignore"):
         system = np.eye(g.n) + t * laplacian(g)
-        norm = np.abs(system).sum(axis=0).max()
+        norm = np.linalg.norm(system, 1)
     if not norm < np.inf:
         raise ParameterError(f"edge-scale parameter t={t!r} overflows a float in I + tL")
     try:
@@ -289,34 +289,6 @@ def _gaps(x: np.ndarray, j: slice) -> np.ndarray:
     return (x.T[j, :, None] + x[j, None, :]) - x
 
 
-def _gap_triples(x: np.ndarray, tests, labels) -> list[np.ndarray]:
-    """The kernel of every triple checker: for each ``(test, distinct)`` of
-    ``tests``, the 0-based rows ``(i, j, k)`` where ``test(gap, separated)``
-    holds, from the :func:`_gaps` of one block slice ``j`` of pivots at a
-    time and the :func:`_separated_at` mask of the ``labels`` for that
-    block (None without labels), both formed once for all tests.  All
-    triples come in ``(j, i, k)`` order, or if ``distinct`` the triples of
-    distinct vertices in ``(i, j, k)`` order, sorted as the one key
-    ``(i * n + j) * n + k``."""
-    n = x.shape[0]
-    step = max(1, _GAP_BLOCK // max(1, n * n))
-    hits = [[np.empty(0, dtype=np.intp)] for _ in tests]
-    for start in range(0, n, step):
-        block = slice(start, start + step)
-        gap = _gaps(x, block)
-        separated = None if labels is None else _separated_at(labels, block)
-        for (test, _), found in zip(tests, hits):
-            found.append(start * n * n + np.flatnonzero(test(gap, separated)))
-    out = []
-    for (_, distinct), found in zip(tests, hits):
-        j, i, k = np.unravel_index(np.concatenate(found), (n, n, n))
-        if distinct:
-            key = ((i * n + j) * n + k)[(i != j) & (j != k) & (i != k)]
-            i, j, k = np.unravel_index(np.sort(key), (n, n, n))
-        out.append(np.column_stack((i, j, k)))
-    return out
-
-
 def _tolerance(tol: float) -> float:
     """A checker's ``tol``, refused unless it lies in [0, inf)."""
     if not 0.0 <= tol < math.inf:
@@ -358,32 +330,48 @@ def _transition_test(g: Graph, tol: float):
     return lambda s: int(np.count_nonzero(_transition_fails(_gaps(_log_distance(s), slice(None)), separated, tol)))
 
 
+@np.errstate(over="ignore")  # a slack or product past the float range is inf, the limit it stands for
 def _checks(x: np.ndarray, labels, tol: float, names, s: TransitionalMeasure | None = None) -> list[ValidationReport]:
-    """The reports of the checks ``names``, in that order, from one
-    :func:`_gap_triples` pass over the triangle gaps of the distance array
-    ``x``: ``"transitional-measure"`` of the measure ``s`` whose log
-    distance is ``x``, ``"metric-axioms"`` and ``"cutpoint-additivity"``.
-    ``labels`` are the graph's :func:`separation_labels`; the axioms need none."""
-    tests = []
-    for name in names:
-        if name == "transitional-measure":
-            tests.append((lambda gap, separated: _transition_fails(gap, separated, tol), False))
-        elif name == "metric-axioms":
-            tests.append((lambda gap, separated: -gap > tol * (x + gap) + EQUALITY_FLOOR, True))
-        else:
-            slack = tol * np.abs(x) + EQUALITY_FLOOR
-            tests.append((lambda gap, separated: (np.abs(gap) <= slack) != separated, True))
+    """The reports of the checks ``names``, in that order, from one pass
+    over the triangle gaps of the distance array ``x``:
+    ``"transitional-measure"`` of the measure ``s`` whose log distance is
+    ``x``, ``"metric-axioms"`` and ``"cutpoint-additivity"``.  ``labels``
+    are the graph's :func:`separation_labels`; the axioms need none.
+
+    The :func:`_gaps` of one block slice of pivots and the
+    :func:`_separated_at` mask of that block are formed once for every
+    check's failure rule.  The measure check reports its triples in
+    ``(j, i, k)`` order; the other two report the triples of distinct
+    vertices in ``(i, j, k)`` order, sorted as the one key ``(i * n + j) * n + k``."""
+    n = x.shape[0]
+    slack = tol * np.abs(x) + EQUALITY_FLOOR
+    rules = {
+        "transitional-measure": lambda gap, separated: _transition_fails(gap, separated, tol),
+        "metric-axioms": lambda gap, separated: -gap > tol * (x + gap) + EQUALITY_FLOOR,
+        "cutpoint-additivity": lambda gap, separated: (np.abs(gap) <= slack) != separated,
+    }
+    step = max(1, _GAP_BLOCK // max(1, n * n))
+    hits = [[np.empty(0, dtype=np.intp)] for _ in names]
+    for start in range(0, n, step):
+        block = slice(start, start + step)
+        gap = _gaps(x, block)
+        separated = None if labels is None else _separated_at(labels, block)
+        for name, found in zip(names, hits):
+            found.append(start * n * n + np.flatnonzero(rules[name](gap, separated)))
     reports = []
-    for name, triples in zip(names, _gap_triples(x, tests, labels)):
-        i, j, k = triples.T
+    for name, found in zip(names, hits):
+        j, i, k = np.unravel_index(np.concatenate(found), (n, n, n))
         if name == "transitional-measure":
             m = s.matrix
-            with np.errstate(over="ignore"):  # products of huge entries may overflow; their logs do not
-                columns = triples, m[i, j] * m[j, k], m[i, k] * m[j, j], _separated(labels, i, j, k)
-        elif name == "metric-axioms":
-            columns = _axioms_columns(x, tol, triples)
+            columns = np.column_stack((i, j, k)), m[i, j] * m[j, k], m[i, k] * m[j, j], _separated(labels, i, j, k)
         else:
-            columns = triples, x[i, j] + x[j, k], x[i, k], _separated(labels, i, j, k)
+            key = ((i * n + j) * n + k)[(i != j) & (j != k) & (i != k)]
+            i, j, k = np.unravel_index(np.sort(key), (n, n, n))
+            triples = np.column_stack((i, j, k))
+            if name == "metric-axioms":
+                columns = _axioms_columns(x, tol, triples)
+            else:
+                columns = triples, x[i, j] + x[j, k], x[i, k], _separated(labels, i, j, k)
         reports.append(ValidationReport._from_columns(*columns))
     return reports
 

@@ -11,6 +11,7 @@ oracles are exact or absent.
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 import numpy as np
@@ -37,7 +38,8 @@ def enumerate_paths(g: Graph, i: int, j: int, max_vertices: int = PATH_VERTEX_CA
     (vertex, edge-instance) sequence.
 
     Parallel edges yield distinct paths; the ``i == j`` case is the single
-    empty path of length 0 and weight 1.
+    empty path of length 0 and weight 1.  A path weight that overflows a
+    float raises :class:`NumericError`.
     """
     if g.n > max_vertices:
         raise CapExceededError(f"path enumeration capped at {max_vertices} vertices, graph has {g.n}")
@@ -78,19 +80,27 @@ def enumerate_paths(g: Graph, i: int, j: int, max_vertices: int = PATH_VERTEX_CA
             edge_ids.pop()
 
     extend(i, 1.0)
+    if not all(math.isfinite(path.weight) for path in paths):
+        raise NumericError(f"a path weight from {i} to {j} overflows a float")
     return paths
 
 
 def truncated_walk_sum(g: Graph, t: float, k_terms: int) -> np.ndarray:
     """Partial walk-weight sum ``I + tA + ... + (tA)^K`` by repeated
     multiplication.  Converges to the full walk matrix for ``t rho < 1``
-    with entrywise tail below ``(t rho)^(K+1) / (1 - t rho)``."""
-    ta = t * adjacency_matrix(g)
+    with entrywise tail below ``(t rho)^(K+1) / (1 - t rho)``.  A
+    non-finite ``t`` is refused, and so is a sum that overflows a float."""
+    if not math.isfinite(t):
+        raise ParameterError(f"walk parameter must be finite, got {t!r}")
     acc = np.eye(g.n)
     term = np.eye(g.n)
-    for _ in range(k_terms):
-        term = term @ ta
-        acc = acc + term
+    with np.errstate(over="ignore", invalid="ignore"):  # refused as non-finite below
+        ta = t * adjacency_matrix(g)
+        for _ in range(k_terms):
+            term = term @ ta
+            acc = acc + term
+    if not np.isfinite(acc).all():
+        raise NumericError(f"walk sum to (tA)^{k_terms} overflows a float at t={t!r}")
     return acc
 
 
@@ -105,16 +115,30 @@ def long_walk_limit(g: Graph, rtol: float = 1e-8, k_start: int = 2, k_max: int =
     to ``rtol`` relative off the diagonal.  The quotient's float-noise
     floor grows like 4^k, so on larger graphs a small ``rtol`` can be
     unreachable, and :class:`NumericError` says so.
+
+    The limit is homogeneous of degree -1 in the edge weights, so it is
+    taken on ``A`` scaled by the power of two that brings its largest entry
+    into [0.5, 1), exactly, and scaled back: weights far from 1 neither
+    overflow nor underflow the quotient.  Walk weights that underflow to 0,
+    and a limit that overflows a float, raise :class:`NumericError`.
     """
     n = g.n
     a = adjacency_matrix(g)
-    rho = float(np.linalg.eigvalsh(a)[-1])
+    exponent = math.frexp(a.max())[1]
+    a = np.ldexp(a, -exponent)
+    try:
+        rho = float(np.linalg.eigvalsh(a)[-1])
+    except np.linalg.LinAlgError:
+        raise NumericError("long-walk limit: the eigenvalues of A did not converge") from None
     off_diag = ~np.eye(n, dtype=bool)
     previous_row: list[np.ndarray] | None = None
     change = np.inf
     for k in range(k_start, k_max + 1):
         t = (1.0 - 2.0 ** (-k)) / rho
-        log_r = np.log(np.linalg.inv(np.eye(n) - t * a))
+        r = np.linalg.inv(np.eye(n) - t * a)
+        if not (r > 0.0).all():
+            raise NumericError(f"long-walk limit: walk weights at t = (1 - 2^-{k}) / rho underflow to 0")
+        log_r = np.log(r)
         diag = np.diag(log_r)
         row = [(diag[:, None] + diag[None, :] - 2.0 * log_r) / (n * rho**2 * (1.0 / rho - t))]
         if previous_row is not None:
@@ -123,7 +147,11 @@ def long_walk_limit(g: Graph, rtol: float = 1e-8, k_start: int = 2, k_max: int =
             scale = np.maximum(np.abs(row[-1]), 1e-30)
             change = float((np.abs(row[-1] - previous_row[-1]) / scale)[off_diag].max())
             if change < rtol:
-                return row[-1]
+                with np.errstate(over="ignore"):
+                    limit = np.ldexp(row[-1], -exponent)
+                if not np.isfinite(limit).all():
+                    raise NumericError("long-walk limit overflows a float")
+                return limit
         previous_row = row
     raise NumericError(
         f"long-walk extrapolation did not converge by k={k_max}: last two "
@@ -231,6 +259,7 @@ def enumerate_rooted_forests(g: Graph, max_edges: int = FOREST_EDGE_CAP) -> Root
     Every acyclic subset of non-loop edge instances is a spanning forest;
     each of its trees independently picks one root.  ``weights[i-1, j-1]``
     accumulates forests whose tree containing ``i`` is rooted at ``j``.
+    A forest weight that overflows a float raises :class:`NumericError`.
     """
     edges = [(u - 1, v - 1, w) for u, v, w in g.edges if u != v]
     m = len(edges)
@@ -288,4 +317,6 @@ def enumerate_rooted_forests(g: Graph, max_edges: int = FOREST_EDGE_CAP) -> Root
                     acc.add(a, b, contribution)
 
     weights = np.array(acc.sums)
+    if not (math.isfinite(total) and np.isfinite(weights).all()):
+        raise NumericError("a rooted-forest weight overflows a float")
     return RootedForestSummary(total_weight=total, weights=weights)

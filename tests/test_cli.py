@@ -367,8 +367,8 @@ class TestOneGapPass:
         # The measure check reads the gaps of the log distance, so it shares
         # the distance checkers' pass.
         calls = []
-        original = measures._gap_triples
-        monkeypatch.setattr(measures, "_gap_triples", lambda *a, **kw: calls.append(a) or original(*a, **kw))
+        original = measures._gaps
+        monkeypatch.setattr(measures, "_gaps", lambda *a, **kw: calls.append(a) or original(*a, **kw))
         out = str(tmp_path / "report.txt")
         assert main(["validate", "--input", graph_file(P4W_FILE), "--metric", metric, "--output", out]) == 0
         assert len(calls) == 1
@@ -563,6 +563,15 @@ class TestCommandFlags:
         # figure --tol nan used to accept the paw's d(1,2) != d(3,4).
         assert main([command, "--input", graph_file(PAW_FILE), "--metric", "forest", "--tol", tol]) == 2
         assert capsys.readouterr().err == f"parameter error: tolerance must lie in [0, inf), got {float(tol)!r}\n"
+
+    @pytest.mark.parametrize("metric", ["resistance", "shortest", "longwalk"])
+    def test_huge_tolerance_reports_as_1e300_does(self, graph_file, capsys, metric):
+        # --tol 1e308 used to overflow the check slacks with a RuntimeWarning.
+        outputs = []
+        for tol in ("1e300", "1e308", repr(float(np.finfo(float).max))):
+            code = main(["validate", "--input", graph_file(PAW_FILE), "--metric", metric, "--tol", tol, "--json"])
+            outputs.append((code, capsys.readouterr()))
+        assert outputs[0][0] == 1 and outputs[1:] == outputs[:1] * 2
 
 
 class TestParser:

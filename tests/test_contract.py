@@ -1,5 +1,6 @@
 """The typed-outcome contract: on any connected graph, every public distance,
-measure and checker returns finite values or raises a ``CutMetricsError``."""
+measure, checker, oracle and CLI command returns finite values or raises a
+``CutMetricsError``."""
 
 import contextlib
 import io
@@ -17,19 +18,24 @@ from cutmetrics import (
     check_cutpoint_additivity,
     check_metric_axioms,
     connection_reliability,
+    enumerate_paths,
+    enumerate_rooted_forests,
     find_tau_threshold,
     forest_distance,
     forest_matrix,
     log_distance,
     long_walk_distance,
+    long_walk_limit,
     normalize_distances,
     path_accessibility,
     path_distance,
+    reliability_by_edge_states,
     reliability_distance,
     rescaled_long_walk_distance,
     resistance_distance,
     shortest_path_lengths,
     spectral_data,
+    truncated_walk_sum,
     validate_transitional_measure,
     walk_distance,
     walk_matrix,
@@ -37,13 +43,20 @@ from cutmetrics import (
 from cutmetrics.cli import main
 
 
+# Non-loop edges up to which reliability expands its paths and the oracles
+# sweep all 2^m edge subsets: past it one graph can take seconds.
+EXHAUSTIVE_EDGES = 10
+
+
 @st.composite
 def wide_multigraphs(draw):
     """A random spanning tree on 2 to 12 vertices plus up to n more edges,
     loops and parallel edges among them, weights log-uniform over
-    [1e-300, 1e300]."""
+    [1e-300, 1e300], or over [1e-300, 1] as the probabilities reliability
+    reads."""
     n = draw(st.integers(2, 12))
-    weight = st.floats(-300.0, 300.0).map(lambda exponent: 10.0**exponent)
+    top = 0.0 if draw(st.booleans()) else 300.0
+    weight = st.floats(-300.0, top).map(lambda exponent: 10.0**exponent)
     ends = st.integers(1, n)
     edges = [(draw(st.integers(1, v - 1)), v, draw(weight)) for v in range(2, n + 1)]
     edges += [(draw(ends), draw(ends), draw(weight)) for _ in range(draw(st.integers(0, n)))]
@@ -57,6 +70,13 @@ def _typed(call, *args):
         return call(*args)
     except CutMetricsError:
         return None
+
+
+def _finite_csv(out):
+    """Whether every value of the CSV ``out``, past its first row and
+    column, is finite."""
+    rows = [line.split(",")[1:] for line in out.read_text().splitlines()[1:]]
+    return np.isfinite(np.array(rows, dtype=float)).all()
 
 
 def _assert_sound(report):
@@ -90,21 +110,23 @@ def test_every_call_returns_finite_values_or_raises_a_typed_error(g, workdir):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         # The largest row sum bounds rho, so t stays below 1/rho.
-        t = 0.5 / adjacency_matrix(g).sum(axis=1).max()
+        t = float(0.5 / adjacency_matrix(g).sum(axis=1).max())
+        exhaustive = sum(u != v for u, v, _ in g.edges) <= EXHAUSTIVE_EDGES
         tau = _typed(find_tau_threshold, g)
         assert tau is None or 0.0 < tau < np.inf
+        path_tau = t if tau is None else tau / 2.0
         spectral = _typed(spectral_data, adjacency_matrix(g))
         assert spectral is None or np.isfinite([spectral.rho, *spectral.perron]).all()
 
         measures = [
             _typed(path_accessibility, g, t),
-            _typed(connection_reliability, g),
+            _typed(connection_reliability, g) if exhaustive else None,
             _typed(forest_matrix, g),
             _typed(walk_matrix, g, t),
         ]
         distances = [
-            _typed(path_distance, g, t if tau is None else tau / 2.0),
-            _typed(reliability_distance, g),
+            _typed(path_distance, g, path_tau),
+            _typed(reliability_distance, g) if exhaustive else None,
             _typed(forest_distance, g),
             _typed(walk_distance, g, t),
             _typed(resistance_distance, g),
@@ -114,18 +136,37 @@ def test_every_call_returns_finite_values_or_raises_a_typed_error(g, workdir):
         ]
         for s in filter(None, measures):
             assert np.isfinite(s.matrix).all()
-            _assert_sound(validate_transitional_measure(g, s))
+            for tol in (1e-9, 1e308):
+                _assert_sound(validate_transitional_measure(g, s, tol))
             distances.append(_typed(log_distance, s))
         for d in filter(None, distances):
             assert np.isfinite(d.values).all()
-            _assert_sound(check_metric_axioms(d))
-            _assert_sound(check_cutpoint_additivity(g, d))
+            for tol in (1e-9, 1e308):
+                _assert_sound(check_metric_axioms(d, tol))
+                _assert_sound(check_cutpoint_additivity(g, d, tol))
             scaled = _typed(normalize_distances, d, [(1, 2)], 3.0)
             assert scaled is None or np.isfinite(scaled.values).all()
 
-        for metric in ("forest", "resistance", "longwalk", "shortest"):
+        paths = _typed(enumerate_paths, g, 1, g.n)
+        assert paths is None or np.isfinite([p.weight for p in paths]).all()
+        forests = _typed(enumerate_rooted_forests, g, EXHAUSTIVE_EDGES)
+        assert forests is None or np.isfinite([forests.total_weight, *forests.weights.ravel()]).all()
+        for oracle in (
+            _typed(truncated_walk_sum, g, t, 8),
+            _typed(long_walk_limit, g),
+            _typed(reliability_by_edge_states, g, 1, g.n, EXHAUSTIVE_EDGES),
+        ):
+            assert oracle is None or np.isfinite(oracle).all()
+
+        for metric in (
+            "forest", "resistance", "longwalk", "shortest", "longwalk-rescaled", *["reliability"] * exhaustive,
+            f"walk:t={t!r}", f"path:tau={path_tau!r}",
+        ):
             if _cli(path, out, "compute", "--metric", metric) == 0:
                 assert np.isfinite(np.loadtxt(out, delimiter=",", skiprows=1, ndmin=2)).all()
             code = _cli(path, out, "validate", "--metric", metric, "--json")
             if out.exists():
                 assert json.loads(out.read_text())["passed"] == (code == 0)
+            for command in ("compare", "figure"):
+                if _cli(path, out, command, "--metric", metric) == 0:
+                    assert _finite_csv(out)

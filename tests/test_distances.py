@@ -503,6 +503,19 @@ class TestMergedDistancePass:
             else:
                 check_cutpoint_additivity(g, d, tol)
 
+    @pytest.mark.parametrize("tol", [1e308, np.finfo(float).max])
+    def test_huge_tolerance_reports_equal_those_at_1e300(self, corpus, tol):
+        # The slacks tol * (x + gap), tol * |x| and the symmetry slack used to
+        # overflow with a RuntimeWarning; an infinite slack is their limit.
+        for seed, g in enumerate(corpus):
+            measure = measures._forest_inverse(g, 1.0)
+            assert _exact(validate_transitional_measure(g, measure, tol)) == _exact(
+                validate_transitional_measure(g, measure, 1e300)
+            )
+            for d in (resistance_distance(g), shortest_path_lengths(g), forest_distance(g), *_spoiled(g, seed)):
+                assert _exact(check_metric_axioms(d, tol)) == _exact(check_metric_axioms(d, 1e300))
+                assert _exact(check_cutpoint_additivity(g, d, tol)) == _exact(check_cutpoint_additivity(g, d, 1e300))
+
 
 class TestValidationReport:
     def test_lazy_violations_equal_eager(self, corpus):

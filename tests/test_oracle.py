@@ -59,6 +59,10 @@ class TestEnumeratePaths:
             enumerate_paths(p3(), i, j)
         assert str(refused.value) == f"vertex id out of range 1..3: {bad}"
 
+    def test_overflowing_path_weight_is_numeric_error(self):
+        with pytest.raises(NumericError, match="path weight from 1 to 3 overflows"):
+            enumerate_paths(Graph(3, ((1, 2, 1e200), (2, 3, 1e200))), 1, 3)
+
 
 class TestTruncatedWalkSum:
     def test_zero_terms_is_identity(self):
@@ -80,6 +84,16 @@ class TestTruncatedWalkSum:
             current = truncated_walk_sum(p3(), 0.5, k)
             assert np.all(current >= previous - 1e-15)
             previous = current
+
+    @pytest.mark.parametrize("t", [float("nan"), float("inf")])
+    def test_non_finite_parameter_refused(self, t):
+        # nan used to give an all-NaN matrix, and inf a RuntimeWarning.
+        with pytest.raises(ParameterError, match="walk parameter must be finite"):
+            truncated_walk_sum(p2(), t, 5)
+
+    def test_overflowing_sum_is_numeric_error(self):
+        with pytest.raises(NumericError, match=r"walk sum to \(tA\)\^5 overflows"):
+            truncated_walk_sum(p2(), 1e308, 5)
 
 
 class TestLongWalkLimit:
@@ -111,6 +125,23 @@ class TestLongWalkLimit:
         closed = long_walk_distance(g).values
         off = ~np.eye(n, dtype=bool)
         assert (np.abs(limit - closed) / np.maximum(np.abs(closed), 1e-30))[off].max() <= 1e-4
+
+    @pytest.mark.parametrize("weight", [1e200, 1e-170])
+    def test_limit_scales_as_the_inverse_weight(self, weight):
+        # rho**2 used to overflow at 1e200 and underflow to a zero divisor at 1e-170.
+        limit = long_walk_limit(Graph(2, ((1, 2, weight),)))
+        assert limit[0, 1] == pytest.approx(1.0 / weight, rel=1e-8)
+
+    def test_underflowing_walk_weights_are_numeric_error(self):
+        # ln 0 of the walk weight between the ends used to warn.
+        g = Graph(4, ((1, 2, 1.0), (2, 3, 1e-200), (3, 4, 1e-200)))
+        with pytest.raises(NumericError, match="walk weights .* underflow to 0"):
+            long_walk_limit(g)
+
+    def test_overflowing_limit_is_numeric_error(self):
+        # The limit on P2 is 1/weight, past the float range for this subnormal.
+        with pytest.raises(NumericError, match="long-walk limit overflows a float"):
+            long_walk_limit(Graph(2, ((1, 2, 5e-309),)))
 
 
 class TestReliabilityByEdgeStates:
@@ -186,3 +217,7 @@ class TestEnumerateRootedForests:
         edges = tuple((1, 2, 0.5) for _ in range(21))
         with pytest.raises(CapExceededError):
             enumerate_rooted_forests(Graph(2, edges))
+
+    def test_overflowing_forest_weight_is_numeric_error(self):
+        with pytest.raises(NumericError, match="rooted-forest weight overflows"):
+            enumerate_rooted_forests(Graph(3, ((1, 2, 1e200), (2, 3, 1e200))))
