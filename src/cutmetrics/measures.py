@@ -330,7 +330,14 @@ def _transition_test(g: Graph, tol: float):
     return lambda s: int(np.count_nonzero(_transition_fails(_gaps(_log_distance(s), slice(None)), separated, tol)))
 
 
-@np.errstate(over="ignore")  # a slack or product past the float range is inf, the limit it stands for
+def _slack(tol: float, v: np.ndarray) -> np.ndarray:
+    """``tol * v + EQUALITY_FLOOR``, the slack of a comparison relative to
+    ``v``.  Past the float range it is inf, the limit the rule means, so a
+    huge ``tol`` does not warn."""
+    with np.errstate(over="ignore"):
+        return tol * v + EQUALITY_FLOOR
+
+
 def _checks(x: np.ndarray, labels, tol: float, names, s: TransitionalMeasure | None = None) -> list[ValidationReport]:
     """The reports of the checks ``names``, in that order, from one pass
     over the triangle gaps of the distance array ``x``:
@@ -344,10 +351,10 @@ def _checks(x: np.ndarray, labels, tol: float, names, s: TransitionalMeasure | N
     ``(j, i, k)`` order; the other two report the triples of distinct
     vertices in ``(i, j, k)`` order, sorted as the one key ``(i * n + j) * n + k``."""
     n = x.shape[0]
-    slack = tol * np.abs(x) + EQUALITY_FLOOR
+    slack = _slack(tol, np.abs(x)) if "cutpoint-additivity" in names else None
     rules = {
         "transitional-measure": lambda gap, separated: _transition_fails(gap, separated, tol),
-        "metric-axioms": lambda gap, separated: -gap > tol * (x + gap) + EQUALITY_FLOOR,
+        "metric-axioms": lambda gap, separated: -gap > _slack(tol, x + gap),
         "cutpoint-additivity": lambda gap, separated: (np.abs(gap) <= slack) != separated,
     }
     step = max(1, _GAP_BLOCK // max(1, n * n))
@@ -363,7 +370,8 @@ def _checks(x: np.ndarray, labels, tol: float, names, s: TransitionalMeasure | N
         j, i, k = np.unravel_index(np.concatenate(found), (n, n, n))
         if name == "transitional-measure":
             m = s.matrix
-            columns = np.column_stack((i, j, k)), m[i, j] * m[j, k], m[i, k] * m[j, j], _separated(labels, i, j, k)
+            with np.errstate(over="ignore"):  # products of huge entries may overflow; their logs do not
+                columns = np.column_stack((i, j, k)), m[i, j] * m[j, k], m[i, k] * m[j, j], _separated(labels, i, j, k)
         else:
             key = ((i * n + j) * n + k)[(i != j) & (j != k) & (i != k)]
             i, j, k = np.unravel_index(np.sort(key), (n, n, n))
@@ -383,7 +391,7 @@ def _axioms_columns(v: np.ndarray, tol: float, triangle: np.ndarray) -> tuple[np
     loops = np.flatnonzero(np.abs(diag) > EQUALITY_FLOOR)
     upper, lower = np.triu_indices(len(v), 1)
     a, b = v[upper, lower], v[lower, upper]
-    asymmetric = np.abs(a - b) > tol * np.maximum(np.abs(a), np.abs(b)) + EQUALITY_FLOOR
+    asymmetric = np.abs(a - b) > _slack(tol, np.maximum(np.abs(a), np.abs(b)))
     pair, kind = np.nonzero(np.column_stack((asymmetric, ~(a > 0.0))))  # per pair, symmetry first
     symmetry = kind == 0
     i, j, k = triangle.T

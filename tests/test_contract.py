@@ -43,19 +43,16 @@ from cutmetrics import (
 from cutmetrics.cli import main
 
 
-# Non-loop edges up to which reliability expands its paths and the oracles
-# sweep all 2^m edge subsets: past it one graph can take seconds.
+# Non-loop edges up to which the oracles sweep all 2^m edge subsets.
 EXHAUSTIVE_EDGES = 10
 
 
 @st.composite
-def wide_multigraphs(draw):
-    """A random spanning tree on 2 to 12 vertices plus up to n more edges,
-    loops and parallel edges among them, weights log-uniform over
-    [1e-300, 1e300], or over [1e-300, 1] as the probabilities reliability
-    reads."""
-    n = draw(st.integers(2, 12))
-    top = 0.0 if draw(st.booleans()) else 300.0
+def wide_multigraphs(draw, max_n=12, top=300.0):
+    """A random spanning tree on 2 to ``max_n`` vertices plus up to n more
+    edges, loops and parallel edges among them, weights log-uniform over
+    [1e-300, 10^top]."""
+    n = draw(st.integers(2, max_n))
     weight = st.floats(-300.0, top).map(lambda exponent: 10.0**exponent)
     ends = st.integers(1, n)
     edges = [(draw(st.integers(1, v - 1)), v, draw(weight)) for v in range(2, n + 1)]
@@ -105,13 +102,26 @@ def workdir(tmp_path_factory):
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(g=wide_multigraphs())
 def test_every_call_returns_finite_values_or_raises_a_typed_error(g, workdir):
+    _sweep(g, workdir)
+
+
+# Probabilities, as reliability reads them, on at most 5 vertices: at most
+# 9 non-loop edges, so reliability's inclusion-exclusion and the 2^m oracle
+# sweeps stay fast, and products of tiny weights reach its underflow refusal.
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(g=wide_multigraphs(max_n=5, top=0.0))
+def test_every_call_on_probability_weights_returns_finite_values_or_raises_a_typed_error(g, workdir):
+    _sweep(g, workdir)
+
+
+def _sweep(g, workdir):
+    """Every public call and CLI command on ``g``, with warnings as errors."""
     path, out = workdir / "graph.txt", workdir / "out.txt"
     path.write_text(f"{g.n}\n" + "".join(f"{u} {v} {w!r}\n" for u, v, w in g.edges))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         # The largest row sum bounds rho, so t stays below 1/rho.
         t = float(0.5 / adjacency_matrix(g).sum(axis=1).max())
-        exhaustive = sum(u != v for u, v, _ in g.edges) <= EXHAUSTIVE_EDGES
         tau = _typed(find_tau_threshold, g)
         assert tau is None or 0.0 < tau < np.inf
         path_tau = t if tau is None else tau / 2.0
@@ -120,13 +130,13 @@ def test_every_call_returns_finite_values_or_raises_a_typed_error(g, workdir):
 
         measures = [
             _typed(path_accessibility, g, t),
-            _typed(connection_reliability, g) if exhaustive else None,
+            _typed(connection_reliability, g),
             _typed(forest_matrix, g),
             _typed(walk_matrix, g, t),
         ]
         distances = [
             _typed(path_distance, g, path_tau),
-            _typed(reliability_distance, g) if exhaustive else None,
+            _typed(reliability_distance, g),
             _typed(forest_distance, g),
             _typed(walk_distance, g, t),
             _typed(resistance_distance, g),
@@ -159,7 +169,7 @@ def test_every_call_returns_finite_values_or_raises_a_typed_error(g, workdir):
             assert oracle is None or np.isfinite(oracle).all()
 
         for metric in (
-            "forest", "resistance", "longwalk", "shortest", "longwalk-rescaled", *["reliability"] * exhaustive,
+            "forest", "resistance", "longwalk", "shortest", "longwalk-rescaled", "reliability",
             f"walk:t={t!r}", f"path:tau={path_tau!r}",
         ):
             if _cli(path, out, "compute", "--metric", metric) == 0:
