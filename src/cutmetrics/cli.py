@@ -279,7 +279,7 @@ def _cmd_figure(args: argparse.Namespace) -> int:
         tol = measures._tolerance(args.tol if args.tol is not None else _METRICS[name].tol)
         d = distances.normalize_distances(_build(g, name, params), pairs, args.target)
         d12, d34 = d.value(1, 2), d.value(3, 4)
-        if abs(d12 - d34) > tol * max(abs(d12), abs(d34)) + measures.EQUALITY_FLOOR:
+        if abs(d12 - d34) > measures._slack(tol, max(abs(d12), abs(d34))):
             raise ParameterError(
                 f"{name}: d(1,2)={_format(d12)} and d(3,4)={_format(d34)} differ beyond tolerance; "
                 "the symmetric trapezoid needs d(1,2) = d(3,4)"

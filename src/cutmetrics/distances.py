@@ -161,13 +161,16 @@ def _long_walk(g: Graph) -> tuple[np.ndarray, np.ndarray]:
             f"Perron ratio p_max/p_min = {ratio:.1e}, spectral gap rho - lambda_2 = {gap:.1e}"
         )
     # rho - lambda >= gap > 0 past the guard; R @ R.T is one exactly symmetric syrk.
-    r = vectors[:, :-1] / np.sqrt(rho - eigenvalues[:-1])
-    pinv = r @ r.T
-    projector = np.outer(p_unit, p_unit)
-    linalg._check_pseudoinverse(rho * np.eye(g.n) - a, pinv, projector)
-    psi = pinv / projector
-    diag = np.diag(psi)
-    return (diag[:, None] + diag[None, :] - 2.0 * psi) / g.n, perron
+    # Subnormal weights put the distances past the float range (1/w on P2): the
+    # pseudoinverse check or the DistanceMatrix refuses the inf and NaN left here.
+    with np.errstate(over="ignore", invalid="ignore"):
+        r = vectors[:, :-1] / np.sqrt(rho - eigenvalues[:-1])
+        pinv = r @ r.T
+        projector = np.outer(p_unit, p_unit)
+        linalg._check_pseudoinverse(rho * np.eye(g.n) - a, pinv, projector)
+        psi = pinv / projector
+        diag = np.diag(psi)
+        return (diag[:, None] + diag[None, :] - 2.0 * psi) / g.n, perron
 
 
 def check_metric_axioms(d: DistanceMatrix, tol: float = 1e-9) -> ValidationReport:

@@ -62,7 +62,13 @@ class Graph:
                 raise GraphInputError(f"edge ({iu}, {iv}) has {kind} weight {w!r}")
             canonical.append((iu, iv, w))
         object.__setattr__(self, "edges", tuple(canonical))
-        adj = self.neighbor_sets()
+        # Loop-free adjacency sets: only vertices on an edge hold a set, so
+        # the memory follows the edges, not n.
+        adj: defaultdict[int, set[int]] = defaultdict(set)
+        for u, v, _ in canonical:
+            if u != v:
+                adj[u].add(v)
+                adj[v].add(u)
         reached = _bfs(adj, 1)
         if len(reached) < n:
             unreached = next(v for v in range(1, n + 1) if v not in reached)
@@ -71,16 +77,6 @@ class Graph:
         # not a field, so equality, hashing and repr read n and edges alone.
         # Tuples in the sets' order take a fifth of their memory.
         object.__setattr__(self, "_neighbors", tuple(tuple(adj[v]) for v in range(n + 1)))
-
-    def neighbor_sets(self) -> defaultdict[int, set[int]]:
-        """Adjacency sets keyed by vertex id, loops omitted.  Only vertices
-        on an edge hold a set, so the memory follows the edges, not n."""
-        adj: defaultdict[int, set[int]] = defaultdict(set)
-        for u, v, _ in self.edges:
-            if u != v:
-                adj[u].add(v)
-                adj[v].add(u)
-        return adj
 
 
 def _bfs(adj, start: int, removed: int = 0) -> dict[int, int]:
@@ -176,8 +172,8 @@ def is_cutpoint_between(g: Graph, j: int, i: int, k: int) -> bool:
 
 
 class _BlockCutTree(NamedTuple):
-    """Blocks and cut vertices of a connected graph, from one depth-first
-    search rooted at vertex 1; every vertex is 0-based.
+    """Blocks of a connected graph, from one depth-first search rooted at
+    vertex 1; every vertex is 0-based.
 
     Block ``b`` is ``blocks[b]``, its head first: the vertex through which
     it hangs from the rest of the tree (vertex 0 for the blocks at the
@@ -189,13 +185,6 @@ class _BlockCutTree(NamedTuple):
     order: np.ndarray
     blocks: tuple[np.ndarray, ...]
     spans: np.ndarray
-
-    @property
-    def cut_vertices(self) -> np.ndarray:
-        """Sorted cut vertices: every head but the root, and the root when it
-        heads two blocks or more."""
-        heads = np.array([block[0] for block in self.blocks])
-        return np.unique(heads[(heads != 0) | (np.count_nonzero(heads == 0) > 1)])
 
 
 def _block_cut_tree(g: Graph) -> _BlockCutTree:

@@ -229,5 +229,5 @@ def _check_pseudoinverse(a: np.ndarray, pinv: np.ndarray, projector: np.ndarray)
     1e-9: the contract of the pseudoinverse of a symmetric ``a`` whose
     kernel ``projector`` projects onto."""
     residual = float(np.abs(a @ pinv - (np.eye(len(a)) - projector)).max())
-    if residual > 1e-9:
+    if not residual <= 1e-9:  # a NaN residual fails too
         raise NumericError(f"pseudoinverse contract violated: residual {residual:.3e}")

@@ -60,14 +60,12 @@ def _sorted_adjacency(g: Graph) -> list[list[tuple[int, int, float]]]:
 
 
 def _simple_paths(
-    g: Graph, source: int, adj: list[list[tuple[int, int, float]]] | None = None
+    g: Graph, source: int, adj: list[list[tuple[int, int, float]]]
 ) -> Iterator[tuple[int, int, float, int]]:
-    """Every simple path from ``source``, depth first in
-    :func:`_sorted_adjacency` order, as ``(target, length, weight, edge
+    """Every simple path from ``source``, depth first in ``adj``, the
+    graph's :func:`_sorted_adjacency`, as ``(target, length, weight, edge
     mask)``: the weight is the product of the edge weights along the path,
-    and bit ``e`` of the mask is set when edge instance ``e`` lies on it.
-    ``adj`` is the graph's sorted adjacency, when the caller already has it."""
-    adj = _sorted_adjacency(g) if adj is None else adj
+    and bit ``e`` of the mask is set when edge instance ``e`` lies on it."""
     on_path = [False] * (g.n + 1)
     on_path[source] = True
     frames = [(source, iter(adj[source]), 1.0, 0)]
@@ -163,7 +161,9 @@ def connection_reliability(g: Graph, max_paths_per_pair: int = PATHS_PER_PAIR_CA
     before summation, which keeps the expansion tractable on sparse
     graphs; the grouped coefficients are exact integers.  A pair whose
     expansion passes ``TERMS_PER_PAIR_CAP`` distinct unions raises
-    :class:`CapExceededError` (K7 does; K6 peaks near 15,500).
+    :class:`CapExceededError` (K7 does; K6 peaks near 15,500), and the
+    first pair whose reliability underflows to 0 raises
+    :class:`NumericError`.
     """
     for _, _, w in g.edges:
         if not 0.0 < w <= 1.0:
@@ -202,6 +202,8 @@ def connection_reliability(g: Graph, max_paths_per_pair: int = PATHS_PER_PAIR_CA
             value = math.fsum(
                 coeff * _union_weight(mask, edge_weights) for mask, coeff in terms.items()
             )
+            if not value > 0.0:
+                raise NumericError(f"reliability between {i} and {j} underflows to {value!r}")
             s[i - 1, j - 1] = s[j - 1, i - 1] = value
     return TransitionalMeasure("reliability", s)
 
@@ -267,8 +269,9 @@ def walk_matrix(g: Graph, t: float) -> TransitionalMeasure:
     """
     a = adjacency_matrix(g)
     inverse = None
-    # rho >= max(A), so a larger t fails the bound and t * A cannot overflow.
-    if 0.0 < t < 1.0 / a.max():
+    # rho >= max(A), so a larger t fails the bound and t * A cannot overflow;
+    # the product, unlike 1 / max(A), stays finite at subnormal weights.
+    if t > 0.0 and t * float(a.max()) < 1.0:
         system = np.eye(g.n) - t * a
         inverse = linalg._pd_inverse(system)
         if inverse is not None:

@@ -90,14 +90,16 @@ def as_networkx(g):
 
 
 def assert_blocks_match_networkx(g):
-    """The blocks and cut vertices of the block-cut tree are those networkx finds."""
+    """The blocks of the block-cut tree, and the articulation points read off
+    ``separation_labels`` (the rows with a label above 0), are those networkx finds."""
+    from cutmetrics import separation_labels
     from cutmetrics.graph import _block_cut_tree
 
     reference = as_networkx(g)
-    tree = _block_cut_tree(g)
-    blocks = sorted(sorted(block.tolist()) for block in tree.blocks)
+    blocks = sorted(sorted(block.tolist()) for block in _block_cut_tree(g).blocks)
     assert blocks == sorted(sorted(v - 1 for v in b) for b in nx.biconnected_components(reference)), g
-    assert (tree.cut_vertices + 1).tolist() == sorted(nx.articulation_points(reference)), g
+    cut = np.flatnonzero(separation_labels(g).max(axis=1) >= 1) + 1
+    assert cut.tolist() == sorted(nx.articulation_points(reference)), g
 
 
 NAMED = {

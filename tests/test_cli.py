@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -50,12 +51,12 @@ def _edge_list(g):
 
 
 def _read_matrix(path):
-    lines = open(path).read().strip().splitlines()
+    lines = Path(path).read_text().strip().splitlines()
     return np.array([[float(x) for x in line.split(",")] for line in lines[1:]])
 
 
 def _read_rows(path):
-    lines = open(path).read().strip().splitlines()
+    lines = Path(path).read_text().strip().splitlines()
     header = lines[0].split(",")
     rows = {}
     for line in lines[1:]:
@@ -149,7 +150,7 @@ class TestValidate:
         out = str(tmp_path / "report.txt")
         code = main(["validate", "--input", graph_file(K3_FILE), "--metric", "path", "--tau", "0.5", "--output", out])
         assert code == 0
-        assert "overall: passed" in open(out).read()
+        assert "overall: passed" in Path(out).read_text()
 
     def test_path_large_tau_fails_and_lists_triple(self, graph_file, tmp_path):
         out = str(tmp_path / "report.json")
@@ -158,7 +159,7 @@ class TestValidate:
             "--tau", "0.7", "--json", "--output", out,
         ])
         assert code == 1
-        payload = json.loads(open(out).read())
+        payload = json.loads(Path(out).read_text())
         assert payload["command"] == "validate"
         assert payload["metric"] == "path"
         assert payload["params"] == {"tau": 0.7}
@@ -175,13 +176,13 @@ class TestValidate:
             "--tau", "0.3", "--t", "0.5", "--json", "--output", out,
         ])
         assert code == 0
-        assert json.loads(open(out).read())["params"] == {}
+        assert json.loads(Path(out).read_text())["params"] == {}
 
     def test_forest_edge_scale_passes(self, graph_file, tmp_path):
         out = str(tmp_path / "report.json")
         code = main(["validate", "--input", graph_file(DIAMOND_FILE), "--metric", "forest:t=0.35", "--json", "--output", out])
         assert code == 0
-        payload = json.loads(open(out).read())
+        payload = json.loads(Path(out).read_text())
         assert payload["params"] == {"t": 0.35} and payload["passed"] is True
 
     def test_forest_passes_where_the_determinant_overflows(self, graph_file, capsys):
@@ -340,7 +341,7 @@ class TestCompare:
             "--metric", "shortest,walk:t=0.4,resistance",
             "--output", out,
         ])
-        lines = open(out).read().strip().splitlines()[1:]
+        lines = Path(out).read_text().strip().splitlines()[1:]
         far = [float(line.split(",")[3]) for line in lines]  # d(1-4) column
         assert far == sorted(far, reverse=True)
 
@@ -383,7 +384,7 @@ class TestFigure:
             "--output", out,
         ])
         assert code == 0
-        for line in open(out).read().strip().splitlines()[1:]:
+        for line in Path(out).read_text().strip().splitlines()[1:]:
             _, _, _, y = line.split(",")
             assert abs(float(y)) <= 1e-6
 
@@ -396,7 +397,7 @@ class TestFigure:
         ])
         assert code == 0
         heights = {}
-        for line in open(out).read().strip().splitlines()[1:]:
+        for line in Path(out).read_text().strip().splitlines()[1:]:
             label, vertex, _, y = line.split(",")
             if vertex == "1":
                 heights[label] = float(y)
@@ -406,7 +407,7 @@ class TestFigure:
         out = str(tmp_path / "coords.csv")
         main(["figure", "--input", graph_file(C4_FILE), "--metric", "walk:t=0.4", "--output", out])
         coords = {}
-        for line in open(out).read().strip().splitlines()[1:]:
+        for line in Path(out).read_text().strip().splitlines()[1:]:
             _, vertex, x, y = line.split(",")
             coords[int(vertex)] = np.array([float(x), float(y)])
         table = str(tmp_path / "table.csv")

@@ -9,7 +9,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cutmetrics import (
     CutMetricsError,
@@ -101,6 +101,10 @@ def workdir(tmp_path_factory):
 
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(g=wide_multigraphs())
+# Subnormal weights: the walk bound and the long-walk distances pass the float range.
+@example(g=Graph(2, ((1, 2, 5e-309),)))
+@example(g=Graph(3, ((1, 2, 5e-309), (2, 3, 5e-309), (1, 3, 5e-309))))
+@example(g=Graph(2, ((1, 2, 5e-324),)))
 def test_every_call_returns_finite_values_or_raises_a_typed_error(g, workdir):
     _sweep(g, workdir)
 
@@ -120,8 +124,9 @@ def _sweep(g, workdir):
     path.write_text(f"{g.n}\n" + "".join(f"{u} {v} {w!r}\n" for u, v, w in g.edges))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        # The largest row sum bounds rho, so t stays below 1/rho.
-        t = float(0.5 / adjacency_matrix(g).sum(axis=1).max())
+        # The largest row sum bounds rho, so t stays below 1/rho; a float
+        # quotient, unlike a numpy one, is inf without a warning.
+        t = 0.5 / float(adjacency_matrix(g).sum(axis=1).max())
         tau = _typed(find_tau_threshold, g)
         assert tau is None or 0.0 < tau < np.inf
         path_tau = t if tau is None else tau / 2.0

@@ -174,13 +174,6 @@ class TestCutpointOracle:
             is_cutpoint_between(p3(), 9, 1, 2)
         assert str(refused.value) == "vertex id out of range 1..3: 9"
 
-    def test_reads_the_neighbor_sets_kept_by_the_graph(self, monkeypatch):
-        g = p4()
-        calls = []
-        monkeypatch.setattr(Graph, "neighbor_sets", lambda self: calls.append(self))
-        assert is_cutpoint_between(g, 2, 1, 4) and not is_cutpoint_between(g, 4, 1, 3)
-        assert calls == []
-
     def test_symmetric_in_endpoints(self, small_corpus):
         for g in small_corpus[:10]:
             for j in range(1, g.n + 1):
@@ -192,7 +185,7 @@ class TestCutpointOracle:
         g = p4()
         # On a tree, j is a cutpoint between i and k iff j lies on the
         # unique i-k path; extract the path by parent walking.
-        adj = g.neighbor_sets()
+        adj = g._neighbors
         for i in range(1, 5):
             parent = {i: None}
             stack = [i]
@@ -286,7 +279,8 @@ class TestBlockCutTree:
         assert sys.getrecursionlimit() < n
         tree = _block_cut_tree(Graph(n, tuple((v, v + 1, 1.0) for v in range(1, n))))
         assert sorted(sorted(block.tolist()) for block in tree.blocks) == [[v, v + 1] for v in range(n - 1)]
-        assert tree.cut_vertices.tolist() == list(range(1, n - 1))
+        # Vertex v heads the block {v, v + 1}: the root and the cut vertices 1..n-2.
+        assert sorted(int(block[0]) for block in tree.blocks) == list(range(n - 1))
 
 
 class TestShortestPath:
@@ -307,7 +301,7 @@ class TestShortestPath:
 
     def test_bit_identical_to_scalar_stores(self, corpus):
         def scalar_lengths(g):
-            adj = g.neighbor_sets()
+            adj = g._neighbors
             values = np.zeros((g.n, g.n))
             for s in range(1, g.n + 1):
                 for v, d in _bfs(adj, s).items():
@@ -368,5 +362,3 @@ class TestGraphConstruction:
         g = p3()
         assert repr(g) == "Graph(n=3, edges=((1, 2, 1.0), (2, 3, 1.0)))"
         assert g._neighbors == ((), (2,), (1, 3), (2,))
-        assert g.neighbor_sets() == {1: {2}, 2: {1, 3}, 3: {2}}
-        assert g.neighbor_sets() is not g.neighbor_sets()

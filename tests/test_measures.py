@@ -26,7 +26,7 @@ from cutmetrics import (
     walk_matrix,
 )
 from cutmetrics import distances, linalg, measures
-from cutmetrics.measures import _simple_paths
+from cutmetrics.measures import _simple_paths, _sorted_adjacency
 
 from conftest import (
     OUT_OF_RANGE_TOLERANCES,
@@ -146,8 +146,9 @@ class TestPathAccessibility:
     def test_traversals_agree_on_path_sets(self, corpus):
         # Both multiply the edge weights along the path, so weights are bit-equal.
         for g in corpus[:8]:
+            adj = _sorted_adjacency(g)
             for i in range(1, g.n + 1):
-                paths = list(_simple_paths(g, i))
+                paths = list(_simple_paths(g, i, adj))
                 for j in range(1, g.n + 1):
                     if j != i:
                         assert [p[1:] for p in paths if p[0] == j] == [
@@ -174,6 +175,19 @@ class TestConnectionReliability:
     def test_weight_above_one_rejected(self):
         with pytest.raises(ParameterError):
             connection_reliability(Graph(2, ((1, 2, 1.2),)))
+
+    def test_refuses_at_the_first_underflowed_pair(self, monkeypatch):
+        # The one path 1-3-2 has weight 1e-400: the refusal names the pair
+        # before any source but vertex 1 is traversed.
+        g = Graph(4, ((1, 3, 1e-200), (3, 2, 1e-200), (1, 4, 0.5)))
+        sources = []
+        traverse = measures._simple_paths
+        monkeypatch.setattr(
+            measures, "_simple_paths", lambda g, source, adj: sources.append(source) or traverse(g, source, adj)
+        )
+        with pytest.raises(NumericError, match=r"reliability between 1 and 2 underflows to 0\.0"):
+            connection_reliability(g)
+        assert sources == [1]
 
     def test_paths_per_pair_cap(self):
         # K6 has 1 + 4 + 12 + 24 + 24 = 65 simple paths between any two vertices.
