@@ -99,9 +99,17 @@ def resistance_distance(g: Graph) -> DistanceMatrix:
     """Effective resistance between vertex pairs, from the Laplacian
     pseudoinverse: ``d(i,j) = Lp[i,i] + Lp[j,j] - 2 Lp[i,j]``."""
     lp = linalg.symmetric_pseudoinverse(laplacian(g), np.ones(g.n))
-    diag = np.diag(lp)
-    values = diag[:, None] + diag[None, :] - 2.0 * lp
-    return DistanceMatrix(values, "resistance")
+    return DistanceMatrix(_from_diagonal(lp, np.empty_like(lp)), "resistance")
+
+
+def _from_diagonal(m: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``m_ii + m_jj - 2 m_ij`` for every pair, in the float order of that
+    expression, written to ``out``; ``m`` is overwritten."""
+    diag = m.diagonal().copy()
+    np.add.outer(diag, diag, out=out)
+    m *= 2.0
+    out -= m
+    return out
 
 
 def long_walk_distance(g: Graph, method: str = "closed_form") -> DistanceMatrix:
@@ -139,7 +147,8 @@ def rescaled_long_walk_distance(g: Graph) -> DistanceMatrix:
     sum-normalized Perron vector; the factor is exactly 1 on regular
     graphs."""
     values, perron = _long_walk(g)
-    return DistanceMatrix(values * (g.n * float(perron @ perron)), "longwalk-rescaled")
+    values *= g.n * float(perron @ perron)
+    return DistanceMatrix(values, "longwalk-rescaled")
 
 
 def _long_walk(g: Graph) -> tuple[np.ndarray, np.ndarray]:
@@ -163,14 +172,22 @@ def _long_walk(g: Graph) -> tuple[np.ndarray, np.ndarray]:
     # rho - lambda >= gap > 0 past the guard; R @ R.T is one exactly symmetric syrk.
     # Subnormal weights put the distances past the float range (1/w on P2): the
     # pseudoinverse check or the DistanceMatrix refuses the inf and NaN left here.
+    # R is scaled in the eigenvectors' buffer, released once R R^T is formed;
+    # rho I - A is built in the adjacency's buffer, psi in the pseudoinverse's
+    # and the distances in the projector's.
     with np.errstate(over="ignore", invalid="ignore"):
-        r = vectors[:, :-1] / np.sqrt(rho - eigenvalues[:-1])
-        pinv = r @ r.T
         projector = np.outer(p_unit, p_unit)
-        linalg._check_pseudoinverse(rho * np.eye(g.n) - a, pinv, projector)
-        psi = pinv / projector
-        diag = np.diag(psi)
-        return (diag[:, None] + diag[None, :] - 2.0 * psi) / g.n, perron
+        r = vectors[:, :-1]
+        r /= np.sqrt(rho - eigenvalues[:-1])
+        pinv = r @ r.T
+        del vectors, p_unit, r
+        np.subtract(0.0, a, out=a)
+        a.flat[:: g.n + 1] += rho
+        linalg._check_pseudoinverse(a, pinv, projector)
+        pinv /= projector
+        values = _from_diagonal(pinv, projector)
+        values /= g.n
+        return values, perron
 
 
 def check_metric_axioms(d: DistanceMatrix, tol: float = 1e-9) -> ValidationReport:

@@ -154,7 +154,11 @@ def laplacian(g: Graph) -> np.ndarray:
     """Weighted Laplacian ``diag(A 1) - A``, its loops zeroed from ``A`` first."""
     a = adjacency_matrix(g)
     np.fill_diagonal(a, 0.0)
-    return np.diag(a.sum(axis=1)) - a
+    degrees = a.sum(axis=1)
+    # 0.0 - a, not -a, keeps the zeros positive as diag(A 1) - A has them.
+    np.subtract(0.0, a, out=a)
+    np.fill_diagonal(a, degrees)
+    return a
 
 
 def is_cutpoint_between(g: Graph, j: int, i: int, k: int) -> bool:

@@ -75,7 +75,7 @@ def invert(m) -> np.ndarray:
     pivot or the 1-norm condition estimate is not below ``CONDITION_LIMIT``.
     """
     a = _as_square(m)
-    return _invert(a, _pd_inverse(a) if np.array_equal(a, a.T) else None)
+    return _invert(a, _pd_inverse(a) if np.array_equal(a, a.T) else None, np.linalg.norm(a, 1))
 
 
 def _pd_inverse(a: np.ndarray) -> np.ndarray | None:
@@ -113,29 +113,38 @@ def _pd_inverse(a: np.ndarray) -> np.ndarray | None:
     # inverse of L + 11^T/n would lose almost two digits.
     w += top @ (b - a[:h, :h] @ w)
     s = a[h:, h:] - b.T @ w
-    schur = _pd_inverse(0.5 * (s + s.T))
+    s += s.T
+    s *= 0.5
+    schur = _pd_inverse(s)
     if schur is None:
         return None
     upper = -(w @ schur)
     update = upper @ w.T
+    # Released before the result is allocated, which is then assembled
+    # without temporaries: a peak of two matrices of the order of ``a``.
+    del s, w
     inv = np.empty_like(a)
-    inv[:h, :h] = top - 0.5 * (update + update.T)
+    corner = inv[:h, :h]
+    np.add(update, update.T, out=corner)
+    corner *= 0.5
+    np.subtract(top, corner, out=corner)
     inv[:h, h:] = upper
     inv[h:, :h] = upper.T
     inv[h:, h:] = schur
     return inv
 
 
-def _invert(a: np.ndarray, inv: np.ndarray | None) -> np.ndarray:
-    """:func:`invert` of a checked square matrix: its positive-definite
-    inverse ``inv`` from :func:`_pd_inverse`, or LU when there is none."""
+def _invert(a: np.ndarray, inv: np.ndarray | None, norm: float) -> np.ndarray:
+    """:func:`invert` of a checked square matrix with 1-norm ``norm``: its
+    positive-definite inverse ``inv`` from :func:`_pd_inverse`, or LU when
+    there is none."""
     if inv is None:
         try:
             inv = np.linalg.inv(a)
         except np.linalg.LinAlgError:
             raise NumericError("singular matrix: zero pivot during LU factorization") from None
     # A product of Python floats overflows to inf without a warning.
-    cond = float(np.linalg.norm(a, 1)) * float(np.linalg.norm(inv, 1))
+    cond = float(norm) * float(np.linalg.norm(inv, 1))
     if not cond <= CONDITION_LIMIT:
         raise NumericError(f"matrix near-singular: condition estimate {cond:.3e} exceeds {CONDITION_LIMIT:.0e}")
     return inv
@@ -200,8 +209,9 @@ def symmetric_pseudoinverse(m, kernel) -> np.ndarray:
 
     With ``P`` the orthogonal projector onto the kernel direction,
     ``(m + P)`` is nonsingular and ``pinv = (m + P)^-1 - P``.  The caller
-    supplies the kernel vector; the function rejects vectors that fail the
-    kernel residual check and verifies ``m @ pinv = I - P`` to 1e-9.
+    supplies the kernel vector, finite and nonzero at any scale; the
+    function rejects vectors that fail the kernel residual check and
+    verifies ``m @ pinv = I - P`` to 1e-9.
     """
     a = _as_square(m)
     n = a.shape[0]
@@ -210,16 +220,27 @@ def symmetric_pseudoinverse(m, kernel) -> np.ndarray:
     k = np.asarray(kernel, dtype=float)
     if k.shape != (n,):
         raise ParameterError(f"kernel vector must have shape ({n},), got {k.shape}")
-    norm = np.linalg.norm(k)
-    if norm == 0.0:
+    if not np.all(np.isfinite(k)):
+        raise ParameterError("kernel vector has non-finite entries")
+    # Scaled to a largest entry of 1 first, the norm can neither overflow nor
+    # underflow; the all-ones kernel is left exactly as it is.
+    peak = float(np.abs(k).max())
+    if peak == 0.0:
         raise ParameterError("kernel vector must be nonzero")
-    khat = k / norm
-    scale = max(1.0, float(np.abs(a).max()))
+    k = k / peak
+    khat = k / np.linalg.norm(k)
+    scale = max(1.0, float(a.max()), -float(a.min()))
     if not float(np.abs(a @ khat).max()) <= 1e-8 * scale:
         raise ParameterError("supplied vector is not in the kernel (residual check failed)")
-    projector = np.outer(khat, khat)
-    pinv = invert(a + projector) - projector
-    pinv = 0.5 * (pinv + pinv.T)
+    # a + P is finite, as a and P are, so only its symmetry is tested again.
+    system = np.outer(khat, khat)
+    system += a
+    inv = _pd_inverse(system) if np.array_equal(system, system.T) else None
+    pinv = _invert(system, inv, np.linalg.norm(system, 1))
+    projector = np.outer(khat, khat, out=system)  # P again, in the spent system's buffer
+    pinv -= projector
+    if inv is None:  # only the recursion's inverse is exactly symmetric
+        pinv = 0.5 * (pinv + pinv.T)
     _check_pseudoinverse(a, pinv, projector)
     return pinv
 
@@ -227,7 +248,12 @@ def symmetric_pseudoinverse(m, kernel) -> np.ndarray:
 def _check_pseudoinverse(a: np.ndarray, pinv: np.ndarray, projector: np.ndarray) -> None:
     """Raise :class:`NumericError` unless ``a @ pinv = I - projector`` to
     1e-9: the contract of the pseudoinverse of a symmetric ``a`` whose
-    kernel ``projector`` projects onto."""
-    residual = float(np.abs(a @ pinv - (np.eye(len(a)) - projector)).max())
-    if not residual <= 1e-9:  # a NaN residual fails too
-        raise NumericError(f"pseudoinverse contract violated: residual {residual:.3e}")
+    kernel ``projector`` projects onto.  The residual is formed in the
+    product's buffer: off the diagonal ``r - (0 - P)`` is ``r + P``."""
+    residual = a @ pinv
+    diagonal = residual.diagonal() - (1.0 - projector.diagonal())
+    residual += projector
+    np.fill_diagonal(residual, diagonal)
+    worst = float(np.abs(residual, out=residual).max())
+    if not worst <= 1e-9:  # a NaN residual fails too
+        raise NumericError(f"pseudoinverse contract violated: residual {worst:.3e}")

@@ -209,21 +209,25 @@ def connection_reliability(g: Graph, max_paths_per_pair: int = PATHS_PER_PAIR_CA
 
 
 def _forest_system(g: Graph, t: float) -> tuple[np.ndarray, np.ndarray]:
-    """``I + t L`` and its ``linalg.invert``: the forest matrix is
-    ``det(I + tL) (I + tL)^-1``.  A ``t`` so large that ``t L`` or the
-    1-norm ``linalg.invert`` takes of the system overflows is refused, and
-    so is one that leaves the system too ill-conditioned to invert, with a
-    message that names ``t``: the condition grows like ``t`` times the
-    largest Laplacian eigenvalue."""
+    """``I + t L``, built in the Laplacian's buffer, and its inverse: the
+    forest matrix is ``det(I + tL) (I + tL)^-1``.  A ``t`` so large that
+    ``t L`` or the 1-norm of the system overflows is refused, and so is one
+    that leaves the system too ill-conditioned to invert, with a message
+    that names ``t``: the condition grows like ``t`` times the largest
+    Laplacian eigenvalue.  The system is finite past the norm test and
+    exactly symmetric, so it goes to the positive-definite inverse
+    without :func:`linalg.invert`'s entry checks."""
     if not t > 0.0:
         raise ParameterError(f"edge-scale parameter must be positive, got {t}")
     with np.errstate(over="ignore", invalid="ignore"):
-        system = np.eye(g.n) + t * laplacian(g)
+        system = laplacian(g)
+        system *= t
+        system.flat[:: g.n + 1] += 1.0
         norm = np.linalg.norm(system, 1)
     if not norm < np.inf:
         raise ParameterError(f"edge-scale parameter t={t!r} overflows a float in I + tL")
     try:
-        return system, linalg.invert(system)
+        return system, linalg._invert(system, linalg._pd_inverse(system), norm)
     except NumericError as exc:
         raise NumericError(f"edge-scale parameter t={t!r} leaves I + tL too ill-conditioned to invert: {exc}") from None
 
@@ -267,23 +271,28 @@ def walk_matrix(g: Graph, t: float) -> TransitionalMeasure:
     the recursion or the condition check refuses, to tell a bad ``t`` from
     a near-singular system.
     """
-    a = adjacency_matrix(g)
+    system = adjacency_matrix(g)
     inverse = None
     # rho >= max(A), so a larger t fails the bound and t * A cannot overflow;
     # the product, unlike 1 / max(A), stays finite at subnormal weights.
-    if t > 0.0 and t * float(a.max()) < 1.0:
-        system = np.eye(g.n) - t * a
+    if t > 0.0 and t * float(system.max()) < 1.0:
+        # I - tA in the adjacency's buffer: -t * a rounds as 0.0 - t * a does,
+        # and the sign of a zero changes no nonzero entry of the inverse.
+        system *= -t
+        system.flat[:: g.n + 1] += 1.0
         inverse = linalg._pd_inverse(system)
         if inverse is not None:
             try:
-                return TransitionalMeasure("walk", linalg._invert(system, inverse), {"t": t})
+                return TransitionalMeasure("walk", linalg._invert(system, inverse, np.linalg.norm(system, 1)), {"t": t})
             except NumericError:  # near-singular: rho below tells a bad t from a bad system
                 pass
+    a = adjacency_matrix(g)  # the buffer above may hold I - tA by now
     rho = linalg._spectral_radius(a)
     if not 0.0 < t < 1.0 / rho:
         raise ParameterError(f"walk parameter must satisfy 0 < t < 1/rho = {1.0 / rho:.12g}, got {t}")
     # A positive-definite inverse repeats its O(n^2) condition refusal; LU inverts the rest.
-    return TransitionalMeasure("walk", linalg._invert(np.eye(g.n) - t * a, inverse), {"t": t})
+    system = np.eye(g.n) - t * a
+    return TransitionalMeasure("walk", linalg._invert(system, inverse, np.linalg.norm(system, 1)), {"t": t})
 
 
 def _gaps(x: np.ndarray, j: slice) -> np.ndarray:
@@ -303,8 +312,13 @@ def _log_distance(s: np.ndarray) -> np.ndarray:
     """The log distance ``(ln S_ii + ln S_jj - ln S_ij - ln S_ji) / 2`` of a
     positive matrix ``s``, as an array."""
     h = np.log(s)
-    diag = np.diag(h)
-    return 0.5 * (diag[:, None] + diag[None, :] - h - h.T)
+    diag = h.diagonal()
+    # ((ln S_ii + ln S_jj) - ln S_ij) - ln S_ji, then halved, in one buffer.
+    out = np.add.outer(diag, diag)
+    out -= h
+    out -= h.T
+    out *= 0.5
+    return out
 
 
 def _transition_fails(gap: np.ndarray, separated: np.ndarray, tol: float) -> np.ndarray:

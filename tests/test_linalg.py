@@ -293,12 +293,26 @@ class TestSymmetricPseudoinverse:
 
     @pytest.mark.parametrize(
         "kernel, message",
-        [([1.0, 1.0], "kernel vector must have shape (3,), got (2,)"), ([0.0, 0.0, 0.0], "kernel vector must be nonzero")],
+        [
+            ([1.0, 1.0], "kernel vector must have shape (3,), got (2,)"),
+            ([0.0, 0.0, 0.0], "kernel vector must be nonzero"),
+            ([np.inf, 1.0, 1.0], "kernel vector has non-finite entries"),
+            ([1.0, np.nan, 1.0], "kernel vector has non-finite entries"),
+        ],
     )
     def test_malformed_kernel_rejected(self, kernel, message):
         with pytest.raises(ParameterError) as refused:
             symmetric_pseudoinverse(laplacian(p3()), np.array(kernel))
         assert str(refused.value) == message
+
+    @pytest.mark.parametrize("scale", [1.7e308, 1e200, -1e200, 1e-200, 5e-324])
+    def test_kernel_at_any_scale(self, scale):
+        # Scaled to a largest entry of 1 before its norm is taken, a constant
+        # kernel is the all-ones one exactly, whose norm neither overflows
+        # nor underflows.
+        lap = laplacian(p3())
+        expected = symmetric_pseudoinverse(lap, np.ones(3))
+        assert symmetric_pseudoinverse(lap, np.full(3, scale)).tobytes() == expected.tobytes()
 
     def test_symmetric_and_annihilates_kernel(self, small_corpus):
         for g in small_corpus[:10]:
