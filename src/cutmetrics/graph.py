@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import GraphInputError
+from .errors import GraphInputError, NumericError
 from .types import DistanceMatrix
 
 __all__ = [
@@ -140,7 +140,7 @@ def parse_graph(text: str) -> Graph:
 def adjacency_matrix(g: Graph) -> np.ndarray:
     """Symmetric weighted adjacency matrix; parallel weights are summed,
     loop weights land on the diagonal."""
-    u, v, w = (np.array(column) for column in zip(*g.edges))
+    u, v, w = _edge_columns(g)
     # Both ends of every edge in edge order, a loop's once.  bincount adds
     # in input order, so each entry rounds as in a loop over the edges.
     ends = np.column_stack((u, v)).ravel() - 1
@@ -150,11 +150,29 @@ def adjacency_matrix(g: Graph) -> np.ndarray:
     return np.bincount(cells[keep], np.repeat(w, 2)[keep], g.n * g.n).reshape(g.n, g.n)
 
 
+def _edge_columns(g: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The ``u``, ``v`` and ``w`` columns of ``g.edges`` as read-only arrays,
+    built on first use and kept on the graph like ``_neighbors``: an
+    attribute, not a field."""
+    try:
+        return g._edge_columns
+    except AttributeError:
+        columns = tuple(np.array(column) for column in zip(*g.edges))
+        for column in columns:
+            column.flags.writeable = False
+        object.__setattr__(g, "_edge_columns", columns)
+        return columns
+
+
 def laplacian(g: Graph) -> np.ndarray:
-    """Weighted Laplacian ``diag(A 1) - A``, its loops zeroed from ``A`` first."""
+    """Weighted Laplacian ``diag(A 1) - A``, its loops zeroed from ``A`` first.
+    Raises :class:`NumericError` when a weighted degree overflows a float."""
     a = adjacency_matrix(g)
     np.fill_diagonal(a, 0.0)
-    degrees = a.sum(axis=1)
+    with np.errstate(over="ignore"):
+        degrees = a.sum(axis=1)
+    if not degrees.max() < np.inf:
+        raise NumericError(f"the weighted degree of vertex {int(np.argmax(degrees)) + 1} overflows a float")
     # 0.0 - a, not -a, keeps the zeros positive as diag(A 1) - A has them.
     np.subtract(0.0, a, out=a)
     np.fill_diagonal(a, degrees)
@@ -261,11 +279,20 @@ def _separated(labels: np.ndarray, i, j, k) -> np.ndarray:
 
 def _separated_at(labels: np.ndarray, j: slice) -> np.ndarray:
     """``_separated`` for the pivots of the slice ``j`` over all pairs
-    (i, k), as a (pivots, n, n) array indexed ``[j, i, k]``."""
+    (i, k), as a (pivots, n, n) array indexed ``[j, i, k]``.  Only a cut
+    vertex has a label above 0 in its row; any other pivot separates just
+    the triples it ends, so where the slice holds no cut vertex those are
+    marked without comparing labels."""
     rows = labels[j]
-    out = rows[:, :, None] != rows[:, None, :]
     pivots = np.arange(len(labels))[j]
-    out[np.arange(len(pivots)), pivots, pivots] = True
+    at = np.arange(len(pivots))
+    if rows.max(initial=0) > 0:
+        out = rows[:, :, None] != rows[:, None, :]
+    else:
+        out = np.zeros((len(pivots), len(labels), len(labels)), dtype=bool)
+        out[at, pivots, :] = True
+        out[at, :, pivots] = True
+    out[at, pivots, pivots] = True
     return out
 
 

@@ -75,7 +75,14 @@ def invert(m) -> np.ndarray:
     pivot or the 1-norm condition estimate is not below ``CONDITION_LIMIT``.
     """
     a = _as_square(m)
-    return _invert(a, _pd_inverse(a) if np.array_equal(a, a.T) else None, np.linalg.norm(a, 1))
+    return _invert(a, _pd_inverse(a) if np.array_equal(a, a.T) else None, _one_norm(a))
+
+
+def _one_norm(a: np.ndarray) -> float:
+    """The 1-norm of ``a``, inf without a warning where a column sum
+    overflows: :func:`_invert` then refuses the condition estimate."""
+    with np.errstate(over="ignore"):
+        return np.linalg.norm(a, 1)
 
 
 def _pd_inverse(a: np.ndarray) -> np.ndarray | None:
@@ -192,7 +199,8 @@ def _perron_eigh(a) -> tuple[np.ndarray, np.ndarray]:
     if vectors[:, -1].sum() < 0.0:
         vectors[:, -1] *= -1.0
     v = vectors[:, -1]
-    residual = float(np.abs(mat @ v - rho * v).max())
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite residual is refused below
+        residual = float(np.abs(mat @ v - rho * v).max())
     if not residual <= EIGEN_RESIDUAL_RTOL * rho:
         raise NumericError(f"eigen-residual {residual:.3e} exceeds {EIGEN_RESIDUAL_RTOL:.0e} * rho")
     if not np.all(v > 0.0):
@@ -236,7 +244,7 @@ def symmetric_pseudoinverse(m, kernel) -> np.ndarray:
     system = np.outer(khat, khat)
     system += a
     inv = _pd_inverse(system) if np.array_equal(system, system.T) else None
-    pinv = _invert(system, inv, np.linalg.norm(system, 1))
+    pinv = _invert(system, inv, _one_norm(system))
     projector = np.outer(khat, khat, out=system)  # P again, in the spent system's buffer
     pinv -= projector
     if inv is None:  # only the recursion's inverse is exactly symmetric

@@ -374,6 +374,16 @@ class TestOneGapPass:
         assert main(["validate", "--input", graph_file(P4W_FILE), "--metric", metric, "--output", out]) == 0
         assert len(calls) == 1
 
+    def test_each_block_of_pivots_forms_its_gaps_once(self, graph_file, tmp_path, monkeypatch):
+        # Blocks of one pivot each: the three checks share one gap block per pivot.
+        monkeypatch.setattr(measures, "_GAP_BLOCK", 1)
+        calls = []
+        original = measures._gaps
+        monkeypatch.setattr(measures, "_gaps", lambda *a, **kw: calls.append(a[1]) or original(*a, **kw))
+        out = str(tmp_path / "report.txt")
+        assert main(["validate", "--input", graph_file(P4W_FILE), "--metric", "forest", "--output", out]) == 0
+        assert calls == [slice(j, j + 1) for j in range(4)]
+
 
 class TestFigure:
     def test_p4_additive_metrics_collapse_flat(self, graph_file, tmp_path):

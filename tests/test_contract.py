@@ -14,6 +14,8 @@ from hypothesis import example, given, settings, strategies as st
 from cutmetrics import (
     CutMetricsError,
     Graph,
+    NumericError,
+    ParameterError,
     adjacency_matrix,
     check_cutpoint_additivity,
     check_metric_axioms,
@@ -23,6 +25,7 @@ from cutmetrics import (
     find_tau_threshold,
     forest_distance,
     forest_matrix,
+    laplacian,
     log_distance,
     long_walk_distance,
     long_walk_limit,
@@ -105,8 +108,28 @@ def workdir(tmp_path_factory):
 @example(g=Graph(2, ((1, 2, 5e-309),)))
 @example(g=Graph(3, ((1, 2, 5e-309), (2, 3, 5e-309), (1, 3, 5e-309))))
 @example(g=Graph(2, ((1, 2, 5e-324),)))
+# Weights near the float maximum: degree sums, 1-norms and eigen-residuals overflow.
+@example(g=Graph(2, ((1, 2, 1.7e308),)))
+@example(g=Graph(3, ((1, 2, 1.7e308), (2, 3, 1.7e308), (1, 3, 1.7e308))))
 def test_every_call_returns_finite_values_or_raises_a_typed_error(g, workdir):
     _sweep(g, workdir)
+
+
+def test_weights_near_the_float_maximum_are_refused_by_type():
+    # A degree sum, a 1-norm and an eigen-residual each pass the float range.
+    p2 = Graph(2, ((1, 2, 1.7e308),))
+    k3 = Graph(3, ((1, 2, 1.7e308), (2, 3, 1.7e308), (1, 3, 1.7e308)))
+    one_edge = Graph(4, ((1, 2, 1.0), (2, 3, 1.0), (3, 4, 1.0), (1, 3, 1.7e308)))
+    with pytest.raises(NumericError, match="the weighted degree of vertex 1 overflows a float"):
+        laplacian(k3)
+    with pytest.raises(ParameterError, match=r"t=1.0 overflows a float in I \+ tL"):
+        forest_distance(k3)
+    for g in (p2, one_edge):
+        with pytest.raises(NumericError, match="condition estimate inf"):
+            resistance_distance(g)
+    for call in (lambda: spectral_data(adjacency_matrix(k3)), lambda: long_walk_distance(k3)):
+        with pytest.raises(NumericError, match="eigen-residual nan"):
+            call()
 
 
 # Probabilities, as reliability reads them, on at most 5 vertices: at most
@@ -124,12 +147,17 @@ def _sweep(g, workdir):
     path.write_text(f"{g.n}\n" + "".join(f"{u} {v} {w!r}\n" for u, v, w in g.edges))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        # The largest row sum bounds rho, so t stays below 1/rho; a float
-        # quotient, unlike a numpy one, is inf without a warning.
-        t = 0.5 / float(adjacency_matrix(g).sum(axis=1).max())
+        # The largest row sum bounds rho, so t stays below 1/rho.  The sums
+        # may overflow to inf, and a float quotient, unlike a numpy one, is
+        # inf or 0 without a warning.
+        with np.errstate(over="ignore"):
+            t = 0.5 / float(adjacency_matrix(g).sum(axis=1).max())
         tau = _typed(find_tau_threshold, g)
         assert tau is None or 0.0 < tau < np.inf
         path_tau = t if tau is None else tau / 2.0
+        assert np.isfinite(adjacency_matrix(g)).all()
+        lap = _typed(laplacian, g)
+        assert lap is None or np.isfinite(lap).all()
         spectral = _typed(spectral_data, adjacency_matrix(g))
         assert spectral is None or np.isfinite([spectral.rho, *spectral.perron]).all()
 

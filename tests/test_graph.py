@@ -362,3 +362,17 @@ class TestGraphConstruction:
         g = p3()
         assert repr(g) == "Graph(n=3, edges=((1, 2, 1.0), (2, 3, 1.0)))"
         assert g._neighbors == ((), (2,), (1, 3), (2,))
+
+    def test_kept_edge_columns_are_no_field(self):
+        g = Graph(3, ((1, 2, 0.5), (3, 2, 2.0), (3, 3, 1.0)))
+        a = adjacency_matrix(g)
+        fresh = Graph(3, g.edges)
+        assert (g, hash(g), repr(g)) == (fresh, hash(fresh), repr(fresh))
+        assert [c.tolist() for c in g._edge_columns] == [[1, 3, 3], [2, 2, 3], [0.5, 2.0, 1.0]]
+        for column in g._edge_columns:
+            with pytest.raises(ValueError, match="read-only"):
+                column[0] = 0
+        # Built once and reused: later matrices are new arrays with the same bytes.
+        a += 1.0
+        assert adjacency_matrix(g).tobytes() == adjacency_matrix(fresh).tobytes()
+        assert adjacency_matrix(g).tolist() == [[0.0, 0.5, 0.0], [0.5, 0.0, 2.0], [0.0, 2.0, 1.0]]
