@@ -166,7 +166,8 @@ _VIOLATION_TEXT = np.array(
     '      "expected_equal": %s\n    }'.split("%s"),
     dtype=object,
 )
-_FLAGS_JSON = np.array(["false", "true"], dtype=object)
+# The flag spellings with the text around them, to the violation's end.
+_FLAGS_JSON = _VIOLATION_TEXT[5] + np.array(["false", "true"], dtype=object) + _VIOLATION_TEXT[6]
 # Violations per "".join of the writer, which bounds its transient objects.
 _JOIN_ROWS = 1024
 _encode = json.JSONEncoder().encode
@@ -184,10 +185,11 @@ def _validate_json(payload: dict, reports) -> str:
 
     Each vertex id of the span the triples cover, and each distinct float
     bit pattern (so ``0.0`` and ``-0.0`` stay apart), is spelled once; the
-    rows index those spellings.  A table of :data:`_JOIN_ROWS` rows
-    interleaves the :data:`_VIOLATION_TEXT` with the spellings of one chunk
-    of rows at a time, and each chunk is joined into one string, so the
-    object arrays stay O(_JOIN_ROWS) whatever the number of rows."""
+    ids and the flags carry the constant text in front of them, so a row
+    is eight pieces.  A table of :data:`_JOIN_ROWS` rows holds the pieces
+    of one chunk of rows at a time, and each chunk is joined into one
+    string, so the object arrays stay O(_JOIN_ROWS) whatever the number of
+    rows.  The floats stay unprefixed, one spelling per bit pattern."""
     text = json.dumps({**payload, "violations": []}, indent=2)
     triples, lhs, rhs, expected = (np.concatenate(c) for c in zip(*(r._table() for r in reports)))
     rows = len(lhs)
@@ -197,15 +199,17 @@ def _validate_json(payload: dict, reports) -> str:
     floats = np.array(_json_floats(bits.view(np.float64)), dtype=object)
     low = int(triples.min())
     ids = np.array(list(map(str, range(low, int(triples.max()) + 1))), dtype=object)
-    table = np.empty((min(rows, _JOIN_ROWS), 2 * len(_VIOLATION_TEXT) - 1), dtype=object)
-    table[:, 0::2] = _VIOLATION_TEXT
+    # Row f of heads spells every id as field f, "i", "j" or "k", with its lead-in.
+    heads = np.add.outer(_VIOLATION_TEXT[:3], ids)
+    table = np.empty((min(rows, _JOIN_ROWS), 8), dtype=object)
+    table[:, 3], table[:, 5] = _VIOLATION_TEXT[3:5]
     chunks = []
     for start in range(0, rows, _JOIN_ROWS):
         part, span = table[: min(rows - start, _JOIN_ROWS)], slice(start, start + _JOIN_ROWS)
-        part[:, 1:6:2] = ids[triples[span] - low]
-        part[:, 7] = floats[where[:rows][span]]
-        part[:, 9] = floats[where[rows:][span]]
-        part[:, 11] = _FLAGS_JSON[expected[span].astype(np.intp)]
+        part[:, :3] = heads[[0, 1, 2], triples[span] - low]
+        part[:, 4] = floats[where[:rows][span]]
+        part[:, 6] = floats[where[rows:][span]]
+        part[:, 7] = _FLAGS_JSON[expected[span].astype(np.intp)]
         chunks.append("".join(part.ravel().tolist()))
     chunks[0] = chunks[0][1:]  # the first violation follows "[" with no comma
     return "".join((text[: -len("[]\n}")], "[", *chunks, "\n  ]\n}"))

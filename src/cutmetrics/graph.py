@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from collections import defaultdict, deque
 from dataclasses import dataclass
+from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
@@ -305,11 +306,53 @@ def cutpoint_table(g: Graph) -> np.ndarray:
 
 
 def shortest_path_lengths(g: Graph) -> DistanceMatrix:
-    """Edge-count shortest-path distances (weights and loops ignored),
-    by breadth-first search from every vertex."""
-    adj = g._neighbors
-    values = np.zeros((g.n, g.n))
-    for s in range(1, g.n + 1):
-        hops = _bfs(adj, s)
-        values[s - 1, np.fromiter(hops, int, len(hops)) - 1] = np.fromiter(hops.values(), float, len(hops))
-    return DistanceMatrix(values, "shortest")
+    """Edge-count shortest-path distances (weights and loops ignored), by
+    one breadth-first search from every vertex at once.
+
+    The search runs over the flat cells ``source * n + vertex`` of the
+    output in one round per level: O(n m) work in O(diameter) array
+    rounds.  Each round expands its frontier in chunks of about n^2 / 8
+    neighbor entries, so that each index array a chunk needs takes about
+    one byte per output cell, whatever the degrees."""
+    n = g.n
+    adj = g._neighbors  # loop-free, parallel edges merged
+    degree = np.fromiter(map(len, adj[1:]), np.intp, n)
+    neighbors = np.fromiter(chain.from_iterable(adj), np.intp, int(degree.sum()))
+    neighbors -= 1
+    stop = degree.cumsum()  # the end of each vertex's run in neighbors
+    values = np.full(n * n, -1.0)
+    # The int64 view of the output: a cell not yet reached holds -1.0,
+    # whose bits are negative; a reached one holds its level, never
+    # negative.  Within a chunk a new cell briefly holds the position of a
+    # candidate that names it, so exactly one candidate per cell survives.
+    marks = values.view(np.int64)
+    frontier = np.arange(0, n * n, n + 1)
+    values[frontier] = 0.0
+    bound = max(n * n // 8, 4096)
+    level = 0.0
+    unreached = n * n - n  # the graph is connected, so every cell is reached
+    while unreached:
+        level += 1.0
+        reached = []
+        ends = degree[frontier % n]
+        ends.cumsum(out=ends)
+        cuts = ends.searchsorted(np.arange(bound, ends[-1], bound), side="right").tolist()
+        # No vertex has more neighbors than a chunk holds, so no chunk is empty.
+        for a, b in zip([0, *cuts], [*cuts, len(frontier)]):
+            va = frontier[a:b] % n
+            d = degree[va]
+            # Entry e of the round's expansion belongs to the cell whose run
+            # ends past it, and is neighbors[e - (that end - stop[vertex])].
+            pos = np.arange(ends[a - 1] if a else 0, ends[b - 1])
+            pos -= (ends[a:b] - stop[va]).repeat(d)
+            cand = neighbors[pos]
+            cand += (frontier[a:b] - va).repeat(d)
+            cand = cand[marks[cand] < 0]
+            stamps = np.arange(len(cand))
+            marks[cand] = stamps
+            cand = cand[marks[cand] == stamps]
+            values[cand] = level
+            reached.append(cand)
+        frontier = np.concatenate(reached)
+        unreached -= len(frontier)
+    return DistanceMatrix(values.reshape(n, n), "shortest")

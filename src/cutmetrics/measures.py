@@ -216,20 +216,27 @@ def _forest_system(g: Graph, t: float) -> tuple[np.ndarray, np.ndarray]:
     ``t L`` or the 1-norm of the system overflows is refused, and so is one
     that leaves the system too ill-conditioned to invert, with a message
     that names ``t``: the condition grows like ``t`` times the largest
-    Laplacian eigenvalue.  The system is finite past the norm test and
+    Laplacian eigenvalue.  Where a weighted degree overflows before the
+    scaling, ``t L`` is formed from ``t A``, so a small ``t`` still gives
+    a finite system.  The system is finite past the norm test and
     exactly symmetric, so it goes to the positive-definite inverse
     without :func:`linalg.invert`'s entry checks."""
     if not t > 0.0:
         raise ParameterError(f"edge-scale parameter must be positive, got {t}")
-    try:
-        system = laplacian(g)
-    except NumericError:  # a degree overflows, and so does I + tL as it is formed
-        norm = np.inf
-    else:
-        with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            system = laplacian(g)
+        except NumericError:  # a weighted degree overflows: form tL from tA
+            system = adjacency_matrix(g)
+            np.fill_diagonal(system, 0.0)
             system *= t
-            system.flat[:: g.n + 1] += 1.0
-            norm = np.linalg.norm(system, 1)
+            degrees = system.sum(axis=1)
+            np.subtract(0.0, system, out=system)
+            np.fill_diagonal(system, degrees)
+        else:
+            system *= t
+        system.flat[:: g.n + 1] += 1.0
+        norm = np.linalg.norm(system, 1)
     if not norm < np.inf:
         raise ParameterError(f"edge-scale parameter t={t!r} overflows a float in I + tL")
     try:

@@ -4,6 +4,7 @@ import tracemalloc
 import networkx as nx
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cutmetrics import (
     Graph,
@@ -20,7 +21,7 @@ from cutmetrics import (
 )
 from cutmetrics.graph import _bfs, _block_cut_tree, cutpoint_table
 
-from conftest import as_networkx, assert_blocks_match_networkx, k3, p2, p3, p4, sized_multigraph
+from conftest import as_networkx, assert_blocks_match_networkx, complete, k3, p2, p3, p4, sized_multigraph
 
 
 class TestParseGraph:
@@ -283,6 +284,18 @@ class TestBlockCutTree:
         assert sorted(int(block[0]) for block in tree.blocks) == list(range(n - 1))
 
 
+@st.composite
+def looped_multigraphs(draw, max_n=40):
+    """A random spanning tree on 2 to ``max_n`` vertices plus up to 2n more
+    edges, loops and repeats among them; unit weights, which the hop count
+    ignores anyway."""
+    n = draw(st.integers(2, max_n))
+    ends = st.integers(1, n)
+    edges = [(draw(st.integers(1, v - 1)), v, 1.0) for v in range(2, n + 1)]
+    edges += [(draw(ends), draw(ends), 1.0) for _ in range(draw(st.integers(0, 2 * n)))]
+    return Graph(n, tuple(draw(st.permutations(edges))))
+
+
 class TestShortestPath:
     def test_p4_end_to_end(self):
         assert shortest_path_lengths(p4()).value(1, 4) == 3
@@ -310,8 +323,27 @@ class TestShortestPath:
 
         rng = np.random.default_rng(43)
         chain = Graph(64, tuple((v, v + 1, 1.0) for v in range(1, 64)))
-        for g in corpus + [chain, sized_multigraph(rng, 120, 30)]:
+        # Long diameters (a path, sparse multigraphs) take many rounds; a
+        # star and a clique expand one round across several chunks.
+        wide = [
+            Graph(300, tuple((v, v + 1, 1.0) for v in range(1, 300))),
+            Graph(300, tuple((1, v, 1.0) for v in range(2, 301))),
+            complete(80),
+            sized_multigraph(rng, 200, 5),
+            sized_multigraph(rng, 400, 10),
+        ]
+        for g in corpus + [chain, sized_multigraph(rng, 120, 30)] + wide:
             assert shortest_path_lengths(g).values.tobytes() == scalar_lengths(g).tobytes(), g
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(g=looped_multigraphs())
+    def test_matches_networkx(self, g):
+        expected = np.zeros((g.n, g.n))
+        for s, hops in nx.all_pairs_shortest_path_length(as_networkx(g)):
+            for v, d in hops.items():
+                expected[s - 1, v - 1] = d
+        assert np.array_equal(shortest_path_lengths(g).values, expected)
+
 
 
 class TestGraphConstruction:

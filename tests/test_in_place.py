@@ -22,6 +22,7 @@ from cutmetrics import (
     long_walk_distance,
     rescaled_long_walk_distance,
     resistance_distance,
+    shortest_path_lengths,
     symmetric_pseudoinverse,
     validate_transitional_measure,
     walk_distance,
@@ -29,7 +30,7 @@ from cutmetrics import (
 )
 from cutmetrics import linalg, measures
 
-from conftest import build_corpus, sized_multigraph
+from conftest import build_corpus, complete, sized_multigraph
 from test_properties import near_symmetric_matrices
 
 
@@ -234,8 +235,10 @@ def test_successive_laplacians_are_independent():
 # worked in place; they were 4.00, 5.22, 6.01 and 8.01 before.  The
 # checkers read that graph's resistance distance; they peaked at 5.18 and
 # 5.04 while every rule ran on every triple of a block, and the gap block
-# buffers are released before the axioms' own pair arrays.  Each peak may
-# exceed its figure by PEAK_SLACK.
+# buffers are released before the axioms' own pair arrays.  The hop
+# counts of shortest_path_lengths take 2.55 with the frontier expanded in
+# chunks and 7.63 without them; the per-source search they replace took
+# 1.14.  Each peak may exceed its figure by PEAK_SLACK.
 PEAKS = {
     "forest_distance": 3.18,
     "walk_distance": 3.18,
@@ -243,8 +246,22 @@ PEAKS = {
     "long_walk_distance": 4.02,
     "check_cutpoint_additivity": 3.50,
     "check_metric_axioms": 4.19,
+    "shortest_path_lengths": 2.55,
 }
 PEAK_SLACK = 0.1
+# shortest_path_lengths on K_200, whose neighbor lists alone take one unit:
+# 4.39 chunked, 6.14 without chunks.
+CLIQUE_PEAK = 4.39
+
+
+def _peak(call, n):
+    """Peak traced memory of ``call()``, in units of one n x n float matrix."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1] / (8 * n**2)
+    finally:
+        tracemalloc.stop()
 
 
 def test_peak_memory_of_the_dense_calls():
@@ -258,14 +275,12 @@ def test_peak_memory_of_the_dense_calls():
         "long_walk_distance": lambda: long_walk_distance(g),
         "check_cutpoint_additivity": lambda: check_cutpoint_additivity(g, d),
         "check_metric_axioms": lambda: check_metric_axioms(d),
+        "shortest_path_lengths": lambda: shortest_path_lengths(g),
     }
-    unit = 8 * g.n**2
-    peaks = {}
-    for name, call in calls.items():
-        tracemalloc.start()
-        try:
-            call()
-            peaks[name] = tracemalloc.get_traced_memory()[1] / unit
-        finally:
-            tracemalloc.stop()
+    peaks = {name: _peak(call, g.n) for name, call in calls.items()}
     assert all(peaks[name] <= peak + PEAK_SLACK for name, peak in PEAKS.items()), peaks
+
+
+def test_peak_memory_of_shortest_path_lengths_on_a_clique():
+    g = complete(200)
+    assert _peak(lambda: shortest_path_lengths(g), g.n) <= CLIQUE_PEAK + PEAK_SLACK

@@ -272,6 +272,13 @@ class TestForestMatrix:
             with pytest.raises(ParameterError, match=r"edge-scale parameter t=.* overflows a float in I \+ tL"):
                 build(g, t)
 
+    def test_small_edge_scale_survives_an_overflowing_degree(self):
+        # The degrees of K3 at weight 1.7e308 overflow, but t A does not:
+        # at t = 1e-308 the system is that of unit K3 at t = 1.7.
+        huge = Graph(3, ((1, 2, 1.7e308), (2, 3, 1.7e308), (1, 3, 1.7e308)))
+        expected = distances.forest_distance(k3(), 1.7).values
+        assert np.allclose(distances.forest_distance(huge, 1e-308).values, expected, rtol=1e-12, atol=0.0)
+
     @pytest.mark.parametrize(
         "t, refusal",
         [(1e15, "matrix near-singular: condition estimate"), (1e20, "singular matrix: zero pivot")],
