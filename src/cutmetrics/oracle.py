@@ -18,6 +18,7 @@ import numpy as np
 
 from .errors import CapExceededError, GraphInputError, NumericError, ParameterError
 from .graph import Graph, adjacency_matrix
+from .measures import _cap
 from .types import Path, RootedForestSummary
 
 __all__ = [
@@ -41,6 +42,7 @@ def enumerate_paths(g: Graph, i: int, j: int, max_vertices: int = PATH_VERTEX_CA
     empty path of length 0 and weight 1.  A path weight that overflows a
     float raises :class:`NumericError`.
     """
+    _cap("max_vertices", max_vertices)
     if g.n > max_vertices:
         raise CapExceededError(f"path enumeration capped at {max_vertices} vertices, graph has {g.n}")
     for v in (i, j):
@@ -244,6 +246,7 @@ def reliability_by_edge_states(g: Graph, i: int, j: int, max_edges: int = EDGE_S
 
     The per-graph table is cached, so asking for every pair costs one sweep.
     """
+    _cap("max_edges", max_edges)
     m = sum(1 for u, v, _ in g.edges if u != v)
     if m > max_edges:
         raise CapExceededError(f"edge-state sweep capped at {max_edges} edges, graph has {m}")
@@ -261,6 +264,7 @@ def enumerate_rooted_forests(g: Graph, max_edges: int = FOREST_EDGE_CAP) -> Root
     accumulates forests whose tree containing ``i`` is rooted at ``j``.
     A forest weight that overflows a float raises :class:`NumericError`.
     """
+    _cap("max_edges", max_edges)
     edges = [(u - 1, v - 1, w) for u, v, w in g.edges if u != v]
     m = len(edges)
     if m > max_edges:

@@ -190,6 +190,21 @@ def _sweep(g, workdir):
             scaled = _typed(normalize_distances, d, [(1, 2)], 3.0)
             assert scaled is None or np.isfinite(scaled.values).all()
 
+        # A cap that is not at least 1 is refused by name; a NaN one used to
+        # pass every size test and switch the cap off.
+        for cap in (np.nan, 0, -1.0):
+            for name, call in (
+                ("max_vertices", lambda: path_accessibility(g, 1.0, cap)),
+                ("max_vertices", lambda: path_distance(g, 1.0, max_vertices=cap)),
+                ("max_vertices", lambda: find_tau_threshold(g, max_vertices=cap)),
+                ("max_paths_per_pair", lambda: connection_reliability(g, cap)),
+                ("max_vertices", lambda: enumerate_paths(g, 1, g.n, cap)),
+                ("max_edges", lambda: reliability_by_edge_states(g, 1, g.n, cap)),
+                ("max_edges", lambda: enumerate_rooted_forests(g, cap)),
+            ):
+                with pytest.raises(ParameterError, match=f"^{name} must be at least 1, got "):
+                    call()
+
         paths = _typed(enumerate_paths, g, 1, g.n)
         assert paths is None or np.isfinite([p.weight for p in paths]).all()
         forests = _typed(enumerate_rooted_forests, g, EXHAUSTIVE_EDGES)

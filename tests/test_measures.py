@@ -228,6 +228,80 @@ class TestConnectionReliability:
                         reliability_by_edge_states(g, i, j), abs=1e-12
                     )
 
+    def test_union_products_match_a_product_bit_by_bit(self, corpus):
+        # Scaled by 1e-160, two-edge paths fall to subnormal products and
+        # longer ones underflow: the refusal names the pair the reference does.
+        graphs = [*corpus, *(Graph(g.n, tuple((u, v, w * 1e-160) for u, v, w in g.edges)) for g in corpus[:40])]
+        graphs.append(Graph(3, ((1, 2, 5e-324), (2, 3, 0.5), (1, 3, 0.5))))
+        refusals = 0
+        for g in graphs:
+            try:
+                expected = _reliability_by_union_weight(g).tobytes()
+            except NumericError as exc:
+                refusals += 1
+                with pytest.raises(NumericError) as refused:
+                    connection_reliability(g)
+                assert str(refused.value) == str(exc)
+            else:
+                assert connection_reliability(g).matrix.tobytes() == expected, g
+        assert 0 < refusals < len(graphs) - len(corpus)
+
+
+@pytest.mark.parametrize("cap", [math.nan, 0, 0.5, -math.inf])
+def test_caps_below_one_refused_before_any_enumeration(monkeypatch, cap):
+    # A NaN cap fails every size comparison, so it used to switch the cap off.
+    calls = []
+    for name in ("_simple_paths", "_path_length_weights", "_separation_mask"):
+        monkeypatch.setattr(measures, name, lambda *args: calls.append(args))
+    p13 = Graph(13, tuple((v, v + 1, 0.5) for v in range(1, 13)))
+    for call, name in (
+        (lambda: path_accessibility(p13, 0.5, cap), "max_vertices"),
+        (lambda: find_tau_threshold(p13, max_vertices=cap), "max_vertices"),
+        (lambda: distances.path_distance(p13, 0.3, max_vertices=cap), "max_vertices"),
+        (lambda: connection_reliability(p13, max_paths_per_pair=cap), "max_paths_per_pair"),
+    ):
+        with pytest.raises(ParameterError) as refused:
+            call()
+        assert str(refused.value) == f"{name} must be at least 1, got {cap!r}"
+    assert calls == []
+
+
+def _union_weight(mask, edge_weights):
+    """The product of the weights of the edges in ``mask``, lowest bit first."""
+    w = 1.0
+    while mask:
+        bit = mask & (-mask)
+        mask ^= bit
+        w *= edge_weights[bit.bit_length() - 1]
+    return w
+
+
+def _reliability_by_union_weight(g):
+    """Reliability's grouped inclusion-exclusion, uncapped, with each term's
+    product formed bit by bit, kept to check the product memo against."""
+    edge_weights = [w for _, _, w in g.edges]
+    s = np.ones((g.n, g.n))
+    adj = _sorted_adjacency(g)
+    for i in range(1, g.n + 1):
+        masks = [[] for _ in range(g.n + 1)]
+        for j, _, _, path_mask in _simple_paths(g, i, adj):
+            masks[j].append(path_mask)
+        for j in range(i + 1, g.n + 1):
+            terms = {}
+            for path_mask in masks[j]:
+                updates = {path_mask: 1}
+                for mask, coeff in terms.items():
+                    updates[mask | path_mask] = updates.get(mask | path_mask, 0) - coeff
+                for mask, coeff in updates.items():
+                    terms[mask] = terms.get(mask, 0) + coeff
+                    if not terms[mask]:
+                        del terms[mask]
+            value = math.fsum(coeff * _union_weight(mask, edge_weights) for mask, coeff in terms.items())
+            if not value > 0.0:
+                raise NumericError(f"reliability between {i} and {j} underflows to {value!r}")
+            s[i - 1, j - 1] = s[j - 1, i - 1] = value
+    return s
+
 
 class TestForestMatrix:
     def test_p2(self):
@@ -539,6 +613,33 @@ class TestFindTauThreshold:
         tau = find_tau_threshold(paw(), precision=1e-6)
         distances.path_distance(paw(), tau / 2)
         assert len(calls) == 1
+
+    def test_one_enumeration_and_one_mask_per_search(self):
+        # The search and path_distance at half its threshold share one
+        # path-weight array and one separation mask.
+        g = sized_multigraph(np.random.default_rng(3), 9, 3)
+        measures._path_length_weights.cache_clear()
+        measures._separation_mask.cache_clear()
+        distances.path_distance(g, find_tau_threshold(g) / 2.0)
+        assert measures._path_length_weights.cache_info().misses == 1
+        assert measures._separation_mask.cache_info().misses == 1
+
+    def test_reused_buffers_count_as_fresh_tests(self):
+        # Two tests of one order, called in turn, share nothing: each count
+        # equals that of a test built for the call and of the full report.
+        g, h = (sized_multigraph(np.random.default_rng(seed), 8, 3) for seed in (4, 5))
+        tests = [(g, measures._transition_test(g, 1e-9)), (h, measures._transition_test(h, 1e-9))]
+        samples = [forest_matrix(g), forest_matrix(h)]
+        for x in (g, h):
+            samples += [path_accessibility(x, scale * find_tau_threshold(x)) for scale in (0.5, 1.5, 4.0)]
+        counts = []
+        for measure in samples:
+            for graph, test in tests:
+                count = test(measure.matrix)
+                assert count == measures._transition_test(graph, 1e-9)(measure.matrix)
+                assert count == len(validate_transitional_measure(graph, measure).violations)
+                counts.append(count)
+        assert len(set(counts)) > 4
 
     def test_vertex_cap(self, monkeypatch):
         # Refused before the n^3 separation mask is built.

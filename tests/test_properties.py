@@ -106,6 +106,17 @@ def test_relabeling_permutes_reports(g, data):
         assert _as_tuples(new) == _mapped(old, perm)
 
 
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(g=connected_graphs(), data=st.data())
+def test_relabeling_permutes_reliability_bit_for_bit(g, data):
+    # Relabeling keeps the edge order, so every pair keeps its path masks,
+    # their union products and the multiset its fsum adds; only the order
+    # in which they are met changes.
+    perm = data.draw(st.permutations(range(1, g.n + 1)))
+    moved = connection_reliability(_relabel(g, perm)).matrix
+    assert moved.tobytes() == _permuted(connection_reliability(g).matrix, perm).tobytes()
+
+
 @st.composite
 def glued_graphs(draw):
     """``(g, a, left_side, right_side)``: two connected graphs glued at the
@@ -175,6 +186,26 @@ def near_symmetric_matrices(draw):
 @given(m=near_symmetric_matrices())
 def test_symmetry_check_decides_as_allclose(m):
     assert _symmetric(m) == np.allclose(m, m.T, rtol=1e-9, atol=1e-12)
+
+
+def test_symmetry_quick_pass_decides_as_allclose():
+    # One pair sits within a few ulps of its own bound, beside entries of
+    # the same size (the quick pass at the smallest entry decides) or far
+    # larger (it must leave the decision to the entrywise test).
+    decided = set()
+    for small in (1e-14, 0.5, 3.7e10):
+        for big in (small, 1e6 * small):
+            edge = small + (1e-12 + 1e-9 * small)
+            for steps in range(-2, 3):
+                m = np.full((3, 3), big)
+                m[2, 0] = small
+                m[0, 2] = edge
+                for _ in range(abs(steps)):
+                    m[0, 2] = np.nextafter(m[0, 2], np.sign(steps) * np.inf)
+                expected = np.allclose(m, m.T, rtol=1e-9, atol=1e-12)
+                assert _symmetric(m) == expected, (small, big, steps)
+                decided.add(expected)
+    assert decided == {True, False}
 
 
 def _measure_refusal(kind, m):
