@@ -191,7 +191,7 @@ def _validate_json(payload: dict, reports) -> str:
     string, so the object arrays stay O(_JOIN_ROWS) whatever the number of
     rows.  The floats stay unprefixed, one spelling per bit pattern."""
     text = json.dumps({**payload, "violations": []}, indent=2)
-    triples, lhs, rhs, expected = (np.concatenate(c) for c in zip(*(r._table() for r in reports)))
+    triples, lhs, rhs, expected = (np.concatenate(c) for c in zip(*(r._columns for r in reports)))
     rows = len(lhs)
     if not rows:
         return text
@@ -236,7 +236,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     else:
         lines = []
         for label, report in checks:
-            columns = report._table()
+            columns = report._columns
             status = "passed" if report.passed else f"failed ({len(columns[1])} violations)"
             lines.append(f"check {label}: {status}")
             for (i, j, k), a, b, e in zip(*(column[:20].tolist() for column in columns)):

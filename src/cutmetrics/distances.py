@@ -65,13 +65,13 @@ def path_distance(
     refused with the count of violating triples.
     """
     measures._tolerance(tol)
-    measure = measures.path_accessibility(g, tau, max_vertices)
-    failures = measures._transition_test(g, tol)(measure.matrix)
+    d = log_distance(measures.path_accessibility(g, tau, max_vertices))
+    failures = measures._transition_test(g, tol)(d.values)
     if failures:
         raise ParameterError(
             f"tau={tau} fails transitional-measure validation ({failures} violating triples); try a smaller value"
         )
-    return log_distance(measure)
+    return d
 
 
 def reliability_distance(g: Graph) -> DistanceMatrix:

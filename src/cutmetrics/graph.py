@@ -78,6 +78,11 @@ class Graph:
         # not a field, so equality, hashing and repr read n and edges alone.
         # Tuples in the sets' order take a fifth of their memory.
         object.__setattr__(self, "_neighbors", tuple(tuple(adj[v]) for v in range(n + 1)))
+        # The u, v and w columns of the edges, kept the same way, read-only, for its matrices.
+        columns = tuple(np.array(column) for column in zip(*canonical))
+        for column in columns:
+            column.flags.writeable = False
+        object.__setattr__(self, "_edge_columns", columns)
 
 
 def _bfs(adj, start: int, removed: int = 0) -> dict[int, int]:
@@ -141,7 +146,7 @@ def parse_graph(text: str) -> Graph:
 def adjacency_matrix(g: Graph) -> np.ndarray:
     """Symmetric weighted adjacency matrix; parallel weights are summed,
     loop weights land on the diagonal."""
-    u, v, w = _edge_columns(g)
+    u, v, w = g._edge_columns
     # Both ends of every edge in edge order, a loop's once.  bincount adds
     # in input order, so each entry rounds as in a loop over the edges.
     ends = np.column_stack((u, v)).ravel() - 1
@@ -151,29 +156,22 @@ def adjacency_matrix(g: Graph) -> np.ndarray:
     return np.bincount(cells[keep], np.repeat(w, 2)[keep], g.n * g.n).reshape(g.n, g.n)
 
 
-def _edge_columns(g: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The ``u``, ``v`` and ``w`` columns of ``g.edges`` as read-only arrays,
-    built on first use and kept on the graph like ``_neighbors``: an
-    attribute, not a field."""
-    try:
-        return g._edge_columns
-    except AttributeError:
-        columns = tuple(np.array(column) for column in zip(*g.edges))
-        for column in columns:
-            column.flags.writeable = False
-        object.__setattr__(g, "_edge_columns", columns)
-        return columns
-
-
 def laplacian(g: Graph) -> np.ndarray:
     """Weighted Laplacian ``diag(A 1) - A``, its loops zeroed from ``A`` first.
     Raises :class:`NumericError` when a weighted degree overflows a float."""
-    a = adjacency_matrix(g)
+    lap = _laplacian_of(adjacency_matrix(g))
+    degrees = lap.diagonal()
+    if not degrees.max() < np.inf:
+        raise NumericError(f"the weighted degree of vertex {int(np.argmax(degrees)) + 1} overflows a float")
+    return lap
+
+
+def _laplacian_of(a: np.ndarray) -> np.ndarray:
+    """``diag(A 1) - A`` of the adjacency matrix ``a``, its loops zeroed
+    first, assembled in ``a``'s buffer; a degree past the float range is inf."""
     np.fill_diagonal(a, 0.0)
     with np.errstate(over="ignore"):
         degrees = a.sum(axis=1)
-    if not degrees.max() < np.inf:
-        raise NumericError(f"the weighted degree of vertex {int(np.argmax(degrees)) + 1} overflows a float")
     # 0.0 - a, not -a, keeps the zeros positive as diag(A 1) - A has them.
     np.subtract(0.0, a, out=a)
     np.fill_diagonal(a, degrees)

@@ -8,9 +8,9 @@ triangle inequality of the log distance d, ``d_ij + d_jk - d_ik = ln(S_ik S_jj /
 The metric-axioms and cutpoint-additivity checks are rules on the same
 gaps, and :func:`_checks` runs any of the three in one pass.
 
-Path and reliability values are sums over one explicit simple-path
-enumeration, :func:`_simple_paths`, run once per source vertex, and
-therefore carry exhaustive-size caps that fail loudly.
+Path and reliability values are sums over explicit simple-path
+enumerations: each measure runs its own pass of :func:`_simple_paths` from
+every source vertex, so both carry exhaustive-size caps that fail loudly.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import numpy as np
 
 from . import linalg
 from .errors import CapExceededError, NumericError, ParameterError
-from .graph import Graph, _separated, _separated_at, adjacency_matrix, laplacian, separation_labels
+from .graph import Graph, _laplacian_of, _separated, _separated_at, adjacency_matrix, laplacian, separation_labels
 from .types import TransitionalMeasure, ValidationReport
 
 __all__ = [
@@ -87,15 +87,16 @@ def _simple_paths(
         frames.append((u, iter(adj[u]), weight, mask))
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=1)
 def _path_length_weights(g: Graph) -> np.ndarray:
     """``W[l, i-1, j-1]``: total weight of the simple i-to-j paths with
     exactly ``l`` edges, accumulated in lexicographic path order.
 
     The length-0 diagonal is 1 (the empty path).  Every prefix of a simple
     path is a simple path, so the all-zero buckets are the trailing ones,
-    and they are dropped: ``l`` runs to the longest path length.  Cached
-    per graph, so the array is read-only.
+    and they are dropped: ``l`` runs to the longest path length.  The last
+    graph's array is cached, to carry it from a tau search to the path
+    distance after it, so the array is read-only.
     """
     n = g.n
     adj = _sorted_adjacency(g)
@@ -247,12 +248,7 @@ def _forest_system(g: Graph, t: float) -> tuple[np.ndarray, np.ndarray]:
         try:
             system = laplacian(g)
         except NumericError:  # a weighted degree overflows: form tL from tA
-            system = adjacency_matrix(g)
-            np.fill_diagonal(system, 0.0)
-            system *= t
-            degrees = system.sum(axis=1)
-            np.subtract(0.0, system, out=system)
-            np.fill_diagonal(system, degrees)
+            system = _laplacian_of(adjacency_matrix(g) * t)
         else:
             system *= t
         system.flat[:: g.n + 1] += 1.0
@@ -328,10 +324,10 @@ def walk_matrix(g: Graph, t: float) -> TransitionalMeasure:
     return TransitionalMeasure("walk", linalg._invert(system, inverse, np.linalg.norm(system, 1)), {"t": t})
 
 
-def _gaps(x: np.ndarray, j: slice, out: np.ndarray | None = None) -> np.ndarray:
+def _gaps(x: np.ndarray, j: slice, out: np.ndarray) -> np.ndarray:
     """The triangle gaps ``(x[i, j] + x[j, k]) - x[i, k]`` for the pivots
     of the slice ``j``, as an array indexed ``[j, i, k]``, written into
-    ``out`` when it is given."""
+    ``out``."""
     out = np.add(x.T[j, :, None], x[j, None, :], out=out)
     out -= x
     return out
@@ -372,10 +368,10 @@ def _transition_fails(
     return np.logical_or(fails, equal, out=fails)
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=1)
 def _separation_mask(g: Graph) -> np.ndarray:
     """The :func:`_separated_at` mask of every pivot of ``g``, n^3 bytes.
-    Cached per graph, since the tau search and then
+    The last graph's mask is cached, since the tau search and then
     :func:`cutmetrics.distances.path_distance` test one graph many times,
     so the array is read-only."""
     mask = _separated_at(separation_labels(g), slice(None))
@@ -385,15 +381,15 @@ def _separation_mask(g: Graph) -> np.ndarray:
 
 def _transition_test(g: Graph, tol: float):
     """:func:`validate_transitional_measure` without its report: a function
-    of a measure matrix that counts the failing triples, with all pivots in
-    one block.  The gap and the two flag arrays, n^3 entries each, are
-    allocated once here and rewritten by every call."""
+    of a measure's log distance that counts the failing triples, with all
+    pivots in one block.  The gap and the two flag arrays, n^3 entries each,
+    are allocated once here and rewritten by every call."""
     separated = _separation_mask(g)
     gaps = np.empty(separated.shape)
     fails, equal = np.empty_like(separated), np.empty_like(separated)
 
-    def failures(s: np.ndarray) -> int:
-        gap = _gaps(_log_distance(s), slice(None), gaps)
+    def failures(x: np.ndarray) -> int:
+        gap = _gaps(x, slice(None), gaps)
         return int(np.count_nonzero(_transition_fails(gap, separated, tol, (gap, fails, equal))))
 
     return failures
@@ -561,13 +557,13 @@ def find_tau_threshold(
     # The first sample raises above the vertex cap, before the mask exists.
     s = path_accessibility(g, hi, max_vertices).matrix
     failures = _transition_test(g, tol)
-    while not failures(s):
+    while not failures(_log_distance(s)):
         if hi > 2.0**60 * start:
             raise NumericError("path measure validated at every tau up to 2^60 / rho")
         lo, hi = hi, 2.0 * hi
         s = path_accessibility(g, hi, max_vertices).matrix
     while hi - lo > precision and lo < (mid := 0.5 * (lo + hi)) < hi:
-        if failures(path_accessibility(g, mid, max_vertices).matrix):
+        if failures(_log_distance(path_accessibility(g, mid, max_vertices).matrix)):
             hi = mid
         else:
             lo = mid

@@ -88,10 +88,6 @@ class ValidationReport:
             object.__setattr__(self, "_violations", found)
         return self._violations
 
-    def _table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """The columns ``(triples, lhs, rhs, expected)``."""
-        return self._columns
-
     def __setattr__(self, name: str, value=None) -> None:
         raise AttributeError(f"cannot assign to field {name!r} of a ValidationReport")
 

@@ -80,7 +80,7 @@ def _finite_csv(out):
 
 
 def _assert_sound(report):
-    triples, lhs, rhs, _ = report._table()
+    triples, lhs, rhs, _ = report._columns
     assert report.passed == (len(lhs) == 0) and triples.shape == (len(lhs), 3)
     # The compared quantities may overflow to inf, but never compare garbage.
     assert not (np.isnan(lhs).any() or np.isnan(rhs).any())

@@ -481,7 +481,7 @@ class TestMergedDistancePass:
             assert (sizes == counts) if counts else all(sizes)
             for report, expected in zip(reports, public):
                 assert report == expected
-                assert [c.tobytes() for c in report._table()] == [c.tobytes() for c in expected._table()]
+                assert [c.tobytes() for c in report._columns] == [c.tobytes() for c in expected._columns]
 
     def test_empty_matrix_passes(self):
         # A 0 x 0 matrix has no triple to test, as TransitionalMeasure allows.
@@ -523,7 +523,7 @@ class TestValidationReport:
         assert not all(check_cutpoint_additivity(g, shortest_path_lengths(g)).passed for g in corpus)
         for g in corpus:
             lazy = check_cutpoint_additivity(g, shortest_path_lengths(g))
-            triples, lhs, rhs, expected = lazy._table()
+            triples, lhs, rhs, expected = lazy._columns
             eager = ValidationReport(
                 lazy.passed,
                 tuple(
@@ -535,7 +535,7 @@ class TestValidationReport:
             assert (lazy == eager, hash(lazy), repr(lazy)) == (True, hash(eager), repr(eager))
             for v in lazy.violations:
                 assert (type(v.i), type(v.lhs), type(v.rhs), type(v.expected_equal)) == (int, float, float, bool)
-            for built, stored in zip(eager._table(), lazy._table()):
+            for built, stored in zip(eager._columns, lazy._columns):
                 assert built.dtype == stored.dtype and np.array_equal(built, stored)
             assert lazy.passed == (lazy.violations == ())
 

@@ -314,6 +314,20 @@ class TestSymmetricPseudoinverse:
         expected = symmetric_pseudoinverse(lap, np.ones(3))
         assert symmetric_pseudoinverse(lap, np.full(3, scale)).tobytes() == expected.tobytes()
 
+    def test_indefinite_input_is_symmetrized_after_lu(self):
+        # Q diag(1, -1, 2, -3, 0.5, 0) Q^T: m + P is indefinite, so the
+        # positive-definite recursion refuses it and LU inverts it.
+        q = np.linalg.qr(np.random.default_rng(7).standard_normal((6, 6)))[0]
+        m = q @ np.diag([1.0, -1.0, 2.0, -3.0, 0.5, 0.0]) @ q.T
+        m = 0.5 * (m + m.T)
+        kernel = q[:, 5]
+        khat = kernel / np.abs(kernel).max()
+        khat /= np.linalg.norm(khat)
+        assert linalg._pd_inverse(np.outer(khat, khat) + m) is None
+        pinv = symmetric_pseudoinverse(m, kernel)
+        assert np.array_equal(pinv, pinv.T)
+        assert np.abs(pinv - np.linalg.pinv(m)).max() <= 1e-14
+
     def test_symmetric_and_annihilates_kernel(self, small_corpus):
         for g in small_corpus[:10]:
             lap = laplacian(g)

@@ -18,6 +18,7 @@ from cutmetrics import (
     find_tau_threshold,
     forest_matrix,
     is_cutpoint_between,
+    laplacian,
     parse_graph,
     path_accessibility,
     reliability_by_edge_states,
@@ -32,6 +33,7 @@ from conftest import (
     OUT_OF_RANGE_TOLERANCES,
     clique_edges,
     complete,
+    diamond,
     k3,
     p2,
     p3,
@@ -367,6 +369,19 @@ class TestForestMatrix:
             assert message.startswith(f"edge-scale parameter t={t!r} leaves I + tL too ill-conditioned to invert: ")
             assert refusal in message
 
+    @pytest.mark.parametrize("t, d12", [(1e-300, 5.88e-09), (1e-308, 0.4626), (1e-310, 4.091), (1e-320, 27.10)])
+    def test_overflow_route_builds_the_system_bit_for_bit(self, t, d12):
+        # Where a weighted degree overflows, I + tL is assembled from tA;
+        # it must keep the bytes of the four steps written out here.
+        huge = Graph(3, ((1, 2, 1.7e308), (2, 3, 1.7e308), (1, 3, 1.7e308)))
+        chain = Graph(3, ((1, 2, 1e308), (2, 3, 1e308)))
+        for g, vertex in ((huge, 1), (chain, 2)):
+            with pytest.raises(NumericError) as caught:
+                laplacian(g)
+            assert str(caught.value) == f"the weighted degree of vertex {vertex} overflows a float"
+            assert measures._forest_system(g, t)[0].tobytes() == _system_from_scaled_adjacency(g, t).tobytes()
+        assert distances.forest_distance(huge, t).value(1, 2) == pytest.approx(d12, rel=1e-3)
+
     def test_determinant_overflow_named(self):
         # det(I+L) = 161^159 on K_160 exceeds the float range.
         with pytest.raises(NumericError, match="overflow"):
@@ -378,6 +393,19 @@ class TestForestMatrix:
         for g in small_corpus[:10]:
             q = invert(np.eye(g.n) + laplacian(g))
             assert np.abs(q.sum(axis=1) - 1.0).max() <= 1e-12
+
+
+def _system_from_scaled_adjacency(g, t):
+    """``I + tL`` built from ``tA``: zero the loops, scale, take the row
+    sums, negate as ``0.0 - tA`` and write the sums on the diagonal."""
+    a = adjacency_matrix(g)
+    np.fill_diagonal(a, 0.0)
+    a *= t
+    degrees = a.sum(axis=1)
+    np.subtract(0.0, a, out=a)
+    np.fill_diagonal(a, degrees)
+    a.flat[:: g.n + 1] += 1.0
+    return a
 
 
 class TestWalkMatrix:
@@ -463,6 +491,31 @@ class TestWalkBound:
             expected = np.linalg.inv(np.eye(g.n) - t * a)
             assert np.abs(r - expected).max() <= 1e-12 * np.abs(expected).max()
             assert np.array_equal(r, r.T)
+
+    def test_lu_step_agrees_with_numpy(self, corpus, monkeypatch):
+        # With the positive-definite recursion refusing every system, each
+        # inverse comes from the LU step after the rho check.
+        refused = []
+        monkeypatch.setattr(linalg, "_pd_inverse", lambda a: refused.append(len(a)))
+        for g in corpus:
+            a = adjacency_matrix(g)
+            t = 0.5 / linalg._spectral_radius(a)
+            measure = walk_matrix(g, t)
+            expected = np.linalg.inv(np.eye(g.n) - t * a)
+            assert np.abs(measure.matrix - expected).max() <= 1e-12 * np.abs(expected).max()
+            assert validate_transitional_measure(g, measure).passed
+        assert refused == [g.n for g in corpus]
+
+    @pytest.mark.parametrize("call", [walk_matrix, distances.walk_distance], ids=["walk_matrix", "walk_distance"])
+    @pytest.mark.parametrize("graph", [k3, p3, diamond])
+    def test_last_float_below_radius_refused_as_singular(self, call, graph):
+        # One float below 1/rho, I - tA is singular to rounding.  Which step
+        # words the refusal (the LU step on K3 and the diamond here) depends
+        # on how LAPACK rounds rho, so only the type and the word are pinned.
+        g = graph()
+        t = float(np.nextafter(1.0 / linalg._spectral_radius(adjacency_matrix(g)), 0.0))
+        with pytest.raises(NumericError, match="singular"):
+            call(g, t)
 
     @pytest.mark.parametrize("k", [9, 10])
     def test_near_radius_exactly_symmetric(self, k):
@@ -635,8 +688,8 @@ class TestFindTauThreshold:
         counts = []
         for measure in samples:
             for graph, test in tests:
-                count = test(measure.matrix)
-                assert count == measures._transition_test(graph, 1e-9)(measure.matrix)
+                count = test(measures._log_distance(measure.matrix))
+                assert count == measures._transition_test(graph, 1e-9)(measures._log_distance(measure.matrix))
                 assert count == len(validate_transitional_measure(graph, measure).violations)
                 counts.append(count)
         assert len(set(counts)) > 4

@@ -68,7 +68,7 @@ def _dense_checks(x, labels, tol, names, s=None):
 
 
 def _bytes(report):
-    return [(c.dtype.str, c.shape, c.tobytes()) for c in report._table()]
+    return [(c.dtype.str, c.shape, c.tobytes()) for c in report._columns]
 
 
 def _matrices(g, seed):
