@@ -82,10 +82,10 @@ def reliability_distance(g: Graph) -> DistanceMatrix:
 def forest_distance(g: Graph, t: float = 1.0) -> DistanceMatrix:
     """Logarithmic forest distance with edge-scale parameter ``t``.
 
-    The parameter re-weights every edge by ``t``; ``t = 1`` is the plain
-    forest distance.  The log transform is scale-invariant, so the
-    determinant factor of the forest matrix cancels and the distance is
-    taken from ``(I + tL)^-1`` alone.
+    The parameter re-weights every edge by ``t``, exactly: the result is
+    the ``t = 1`` distance of the graph whose edges weigh ``t w``.  The log
+    transform is scale-invariant, so the determinant factor of the forest
+    matrix cancels and the distance is taken from ``(I + tL)^-1`` alone.
     """
     return log_distance(measures._forest_inverse(g, t))
 

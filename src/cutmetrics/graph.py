@@ -146,7 +146,12 @@ def parse_graph(text: str) -> Graph:
 def adjacency_matrix(g: Graph) -> np.ndarray:
     """Symmetric weighted adjacency matrix; parallel weights are summed,
     loop weights land on the diagonal."""
-    u, v, w = g._edge_columns
+    return _adjacency(g, g._edge_columns[2])
+
+
+def _adjacency(g: Graph, w: np.ndarray) -> np.ndarray:
+    """The adjacency matrix of ``g`` with edge instance ``e`` weighted ``w[e]``."""
+    u, v, _ = g._edge_columns
     # Both ends of every edge in edge order, a loop's once.  bincount adds
     # in input order, so each entry rounds as in a loop over the edges.
     ends = np.column_stack((u, v)).ravel() - 1

@@ -9,8 +9,9 @@ The metric-axioms and cutpoint-additivity checks are rules on the same
 gaps, and :func:`_checks` runs any of the three in one pass.
 
 Path and reliability values are sums over explicit simple-path
-enumerations: each measure runs its own pass of :func:`_simple_paths` from
-every source vertex, so both carry exhaustive-size caps that fail loudly.
+enumerations: each measure runs its own pass of :func:`_simple_paths`, path
+from every source vertex and reliability from every one but the last, so
+both carry exhaustive-size caps that fail loudly.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import numpy as np
 
 from . import linalg
 from .errors import CapExceededError, NumericError, ParameterError
-from .graph import Graph, _laplacian_of, _separated, _separated_at, adjacency_matrix, laplacian, separation_labels
+from .graph import Graph, _adjacency, _laplacian_of, _separated, _separated_at, adjacency_matrix, separation_labels
 from .types import TransitionalMeasure, ValidationReport
 
 __all__ = [
@@ -197,16 +198,16 @@ def connection_reliability(g: Graph, max_paths_per_pair: int = PATHS_PER_PAIR_CA
     n = g.n
     s = np.ones((n, n))
     adj = _sorted_adjacency(g)
-    for i in range(1, n + 1):
-        # One traversal from i serves every pair (i, j).  A count to j < i
-        # equals the (j, i) count, already held to the cap, so the pass
-        # stops within (n - 1) * max_paths_per_pair paths.
+    for i in range(1, n):
+        # One traversal from i records every pair (i, j > i); the last source
+        # has none.  A count to j < i equals the (j, i) count, already held
+        # to the cap, so a pass stops within (n - 1) * max_paths_per_pair paths.
         masks: list[list[int]] = [[] for _ in range(n + 1)]
         for j, _, _, path_mask in _simple_paths(g, i, adj):
-            found = masks[j]
-            found.append(path_mask)
-            if len(found) > max_paths_per_pair:
-                raise CapExceededError(f"more than {max_paths_per_pair} simple paths between {i} and {j}")
+            if j > i:
+                masks[j].append(path_mask)
+                if len(masks[j]) > max_paths_per_pair:
+                    raise CapExceededError(f"more than {max_paths_per_pair} simple paths between {i} and {j}")
         for j in range(i + 1, n + 1):
             terms: dict[int, int] = {}
             for path_mask in masks[j]:
@@ -232,25 +233,19 @@ def connection_reliability(g: Graph, max_paths_per_pair: int = PATHS_PER_PAIR_CA
 
 
 def _forest_system(g: Graph, t: float) -> tuple[np.ndarray, np.ndarray]:
-    """``I + t L``, built in the Laplacian's buffer, and its inverse: the
-    forest matrix is ``det(I + tL) (I + tL)^-1``.  A ``t`` so large that
-    ``t L`` or the 1-norm of the system overflows is refused, and so is one
-    that leaves the system too ill-conditioned to invert, with a message
-    that names ``t``: the condition grows like ``t`` times the largest
-    Laplacian eigenvalue.  Where a weighted degree overflows before the
-    scaling, ``t L`` is formed from ``t A``, so a small ``t`` still gives
-    a finite system.  The system is finite past the norm test and
-    exactly symmetric, so it goes to the positive-definite inverse
-    without :func:`linalg.invert`'s entry checks."""
+    """``I + t L``, built in one buffer, and its inverse: the forest matrix
+    is ``det(I + tL) (I + tL)^-1``.  ``t`` scales each edge weight before
+    assembly, so a small ``t`` gives a finite system wherever every ``t w``
+    is.  A ``t`` that overflows ``t L`` or the system's 1-norm is refused,
+    and so is one that leaves the system too ill-conditioned to invert,
+    with a message that names ``t``: the condition grows like ``t`` times
+    the largest Laplacian eigenvalue.  The system is finite past the norm
+    test and exactly symmetric, so it goes to the positive-definite
+    inverse without :func:`linalg.invert`'s entry checks."""
     if not t > 0.0:
         raise ParameterError(f"edge-scale parameter must be positive, got {t}")
-    with np.errstate(over="ignore", invalid="ignore"):
-        try:
-            system = laplacian(g)
-        except NumericError:  # a weighted degree overflows: form tL from tA
-            system = _laplacian_of(adjacency_matrix(g) * t)
-        else:
-            system *= t
+    with np.errstate(over="ignore"):
+        system = _laplacian_of(_adjacency(g, t * g._edge_columns[2]))
         system.flat[:: g.n + 1] += 1.0
         norm = np.linalg.norm(system, 1)
     if not norm < np.inf:

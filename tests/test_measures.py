@@ -326,12 +326,16 @@ class TestForestMatrix:
             row_sums = f.sum(axis=1)
             assert np.abs(row_sums - row_sums[0]).max() <= 1e-9 * max(1.0, row_sums[0])
 
-    def test_edge_scale_matches_rescaled_graph(self, small_corpus):
-        for g in small_corpus[:10]:
-            scaled = Graph(g.n, tuple((u, v, 0.35 * w) for u, v, w in g.edges))
-            f = forest_matrix(g, 0.35)
-            assert f.params == {"t": 0.35}
-            assert np.allclose(f.matrix, forest_matrix(scaled).matrix, rtol=1e-12, atol=0.0)
+    def test_edge_scale_matches_rescaled_graph(self, corpus):
+        # t scales each edge before I + tL is assembled, so the forest
+        # matrix at t is, bit for bit, that of the graph whose edges weigh t w.
+        rng = np.random.default_rng(29)
+        for g in corpus + [sized_multigraph(rng, 40, 40) for _ in range(3)]:
+            for t in (0.35, 3.0, 1e-3):
+                scaled = Graph(g.n, tuple((u, v, t * w) for u, v, w in g.edges))
+                f = forest_matrix(g, t)
+                assert f.params == {"t": t}
+                assert f.matrix.tobytes() == forest_matrix(scaled).matrix.tobytes()
 
     def test_nonpositive_scale_rejected(self):
         with pytest.raises(ParameterError, match="positive"):
@@ -347,6 +351,18 @@ class TestForestMatrix:
         for build in (forest_matrix, distances.forest_distance, measures._forest_inverse):
             with pytest.raises(ParameterError, match=r"edge-scale parameter t=.* overflows a float in I \+ tL"):
                 build(g, t)
+
+    def test_small_edge_scale_survives_overflowing_parallel_edges(self):
+        # The two parallel 1e308 edges sum past the float range, but each
+        # t w does not: t = 1e-300 gives the distance of the scaled graph,
+        # and only a t that overflows I + tL itself is refused.
+        g = Graph(3, ((1, 2, 1e308), (1, 2, 1e308), (2, 3, 1.0)))
+        scaled = Graph(3, tuple((u, v, 1e-300 * w) for u, v, w in g.edges))
+        values = distances.forest_distance(g, 1e-300).values
+        assert np.isfinite(values).all()
+        assert values.tobytes() == distances.forest_distance(scaled).values.tobytes()
+        with pytest.raises(ParameterError, match=r"^edge-scale parameter t=1\.0 overflows a float in I \+ tL$"):
+            distances.forest_distance(g, 1.0)
 
     def test_small_edge_scale_survives_an_overflowing_degree(self):
         # The degrees of K3 at weight 1.7e308 overflow, but t A does not:
@@ -371,8 +387,9 @@ class TestForestMatrix:
 
     @pytest.mark.parametrize("t, d12", [(1e-300, 5.88e-09), (1e-308, 0.4626), (1e-310, 4.091), (1e-320, 27.10)])
     def test_overflow_route_builds_the_system_bit_for_bit(self, t, d12):
-        # Where a weighted degree overflows, I + tL is assembled from tA;
-        # it must keep the bytes of the four steps written out here.
+        # I + tL is assembled from the scaled edges even where a weighted
+        # degree of L overflows; it must keep the bytes of the four steps
+        # written out here, which scale the summed adjacency instead.
         huge = Graph(3, ((1, 2, 1.7e308), (2, 3, 1.7e308), (1, 3, 1.7e308)))
         chain = Graph(3, ((1, 2, 1e308), (2, 3, 1e308)))
         for g, vertex in ((huge, 1), (chain, 2)):
