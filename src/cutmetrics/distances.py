@@ -223,16 +223,26 @@ def normalize_distances(
     d: DistanceMatrix, pairs: list[tuple[int, int]], target: float
 ) -> DistanceMatrix:
     """Rescale so that the distances over ``pairs`` sum to ``target``, a
-    positive finite number; a rescale that overflows is a NumericError."""
+    positive finite number; a rescale that overflows is a NumericError.
+    Each pair holds two vertex ids of integral value, as a :class:`Graph`
+    edge's ends do; any other pair is a ParameterError."""
     if not 0.0 < target < math.inf:
         raise ParameterError(f"normalization target must be positive and finite, got {target!r}")
     if not pairs:
         raise ParameterError("normalization needs at least one vertex pair")
     total = 0.0
-    for u, v in pairs:
-        if not (1 <= u <= d.order and 1 <= v <= d.order):
+    for pair in pairs:
+        try:
+            u, v = pair
+            iu, iv = int(u), int(v)
+            integral = iu == u and iv == v
+        except (TypeError, ValueError, OverflowError):  # not a pair, not numbers, NaN, infinities
+            integral = False
+        if not integral:
+            raise ParameterError(f"pair must be two integer vertex ids, got {pair!r}")
+        if not (1 <= iu <= d.order and 1 <= iv <= d.order):
             raise ParameterError(f"pair ({u}, {v}) out of range 1..{d.order}")
-        total += float(d.values[u - 1, v - 1])
+        total += float(d.values[iu - 1, iv - 1])
     if not total > 0.0:
         raise ParameterError(f"normalization pairs sum to {total}, expected a positive value")
     scale = target / total

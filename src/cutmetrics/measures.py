@@ -48,6 +48,9 @@ EQUALITY_FLOOR = 1e-12
 # With one reused gap buffer, 2^15 beat 2^14 by 10% at n = 64; 2^16 lost on
 # graphs rich in cut vertices.
 _GAP_BLOCK = 1 << 15
+# Paths whose cells and weights the length buckets hold before adding them:
+# about 6 MB, where K12's 1.3e9 simple paths would take about 90 GB at once.
+_PATH_CHUNK = 1 << 16
 
 
 def _sorted_adjacency(g: Graph) -> list[list[tuple[int, int, float]]]:
@@ -93,23 +96,49 @@ def _path_length_weights(g: Graph) -> np.ndarray:
     """``W[l, i-1, j-1]``: total weight of the simple i-to-j paths with
     exactly ``l`` edges, accumulated in lexicographic path order.
 
-    The length-0 diagonal is 1 (the empty path).  Every prefix of a simple
-    path is a simple path, so the all-zero buckets are the trailing ones,
-    and they are dropped: ``l`` runs to the longest path length.  The last
-    graph's array is cached, to carry it from a tau search to the path
-    distance after it, so the array is read-only.
+    The length-0 diagonal is 1 (the empty path).  Every path's flat cell
+    and weight are collected in enumeration order and added by
+    ``np.add.at`` a chunk of ``_PATH_CHUNK`` paths at a time, in order;
+    ``np.add.at`` adds repeated cells in index order, so each entry rounds
+    as in a loop over the paths, and the memory stays bounded however many
+    paths a dense graph has.  Every prefix of a simple path is a
+    simple path, so the all-zero buckets are the trailing ones, and they
+    are dropped: ``l`` runs to the longest path length.  The last graph's
+    array is cached, to carry it from a tau search to the path distance
+    after it, so the array is read-only.
     """
     n = g.n
     adj = _sorted_adjacency(g)
-    weights = [[[0.0] * n for _ in range(n)] for _ in range(n)]
-    for row in range(n):
-        weights[0][row][row] = 1.0
-        for target, length, weight, _ in _simple_paths(g, row + 1, adj):
-            weights[length][row][target - 1] += weight
-    array = np.array(weights)
+    array = np.zeros(n * n * n)
+    array[: n * n : n + 1] = 1.0  # the empty paths
+    cells, weights = [], []
+    with np.errstate(over="ignore"):  # a bucket past the float range is inf, refused by every sample
+        for row in range(n):
+            for target, length, weight, _ in _simple_paths(g, row + 1, adj):
+                cells.append((length * n + row) * n + target - 1)
+                weights.append(weight)
+                if len(cells) == _PATH_CHUNK:
+                    np.add.at(array, cells, weights)
+                    cells.clear()
+                    weights.clear()
+        np.add.at(array, cells, weights)
+    array = array.reshape(n, n, n)
     array = array[: np.flatnonzero(array.any(axis=(1, 2)))[-1] + 1]
     array.flags.writeable = False
     return array
+
+
+def _path_matrix(weights: np.ndarray, tau: float) -> np.ndarray:
+    """The path measure's matrix from the length buckets ``weights`` of
+    :func:`_path_length_weights`: bucket ``l`` scaled by the :func:`_discount`
+    ``tau**l``, summed by ascending length.  Unchecked; NaN and inf entries
+    are left for the caller to refuse."""
+    scales = np.array([_discount(tau, length) for length in range(len(weights))])
+    # Reducing over the outer axis adds each entry's buckets one at a time
+    # by ascending length, one rounding per term; a zero term adds an exact
+    # +0.0, so the result equals the sum of the nonzero buckets alone.
+    with np.errstate(over="ignore", invalid="ignore"):  # inf and inf * 0 are refused as non-finite
+        return np.add.reduce(scales[:, None, None] * weights, axis=0)
 
 
 def path_accessibility(g: Graph, tau: float, max_vertices: int = PATH_VERTEX_CAP) -> TransitionalMeasure:
@@ -125,14 +154,7 @@ def path_accessibility(g: Graph, tau: float, max_vertices: int = PATH_VERTEX_CAP
     _cap("max_vertices", max_vertices)
     if g.n > max_vertices:
         raise CapExceededError(f"path enumeration capped at {max_vertices} vertices, graph has {g.n}")
-    weights = _path_length_weights(g)
-    scales = np.array([_discount(tau, length) for length in range(len(weights))])
-    # Reducing over the outer axis adds each entry's buckets one at a time
-    # by ascending length, one rounding per term; a zero term adds an exact
-    # +0.0, so the result equals the sum of the nonzero buckets alone.
-    with np.errstate(over="ignore", invalid="ignore"):  # inf and inf * 0 are refused as non-finite below
-        s = np.add.reduce(scales[:, None, None] * weights, axis=0)
-    return TransitionalMeasure("path", s, {"tau": tau})
+    return TransitionalMeasure("path", _path_matrix(_path_length_weights(g), tau), {"tau": tau})
 
 
 def _cap(name: str, cap: float) -> None:
@@ -541,6 +563,13 @@ def find_tau_threshold(
     :func:`validate_transitional_measure`, and builds no report.  The
     returned ``tau`` is a sample that validated; the outcome is assumed
     monotone in ``tau`` only heuristically.
+
+    The first sample is :func:`path_accessibility`; every later one is its
+    :func:`_path_matrix`, refused as the ``TransitionalMeasure`` would
+    refuse it.  Of that measure's checks, only finite-and-positive entries
+    depend on ``tau``; :func:`_tau_free_checks` settles the rest once per
+    graph from the length buckets, and where it cannot, every sample is
+    built as a ``TransitionalMeasure``.
     """
     if not precision > 0.0:
         raise ParameterError(f"precision must be positive, got {precision}")
@@ -551,17 +580,56 @@ def find_tau_threshold(
     lo, hi = 0.0, start
     # The first sample raises above the vertex cap, before the mask exists.
     s = path_accessibility(g, hi, max_vertices).matrix
+    weights = _path_length_weights(g)
+    settled = _tau_free_checks(weights)
+
+    def sample(tau: float) -> np.ndarray:
+        m = _path_matrix(weights, tau)
+        if not settled:
+            return TransitionalMeasure("path", m, {"tau": tau}).matrix
+        if not (m.min() > 0.0 and m.max() < np.inf):
+            raise NumericError("path measure has non-positive or non-finite entries")
+        return m
+
     failures = _transition_test(g, tol)
     while not failures(_log_distance(s)):
         if hi > 2.0**60 * start:
             raise NumericError("path measure validated at every tau up to 2^60 / rho")
         lo, hi = hi, 2.0 * hi
-        s = path_accessibility(g, hi, max_vertices).matrix
+        s = sample(hi)
     while hi - lo > precision and lo < (mid := 0.5 * (lo + hi)) < hi:
-        if failures(_log_distance(path_accessibility(g, mid, max_vertices).matrix)):
+        if failures(_log_distance(sample(mid))):
             hi = mid
         else:
             lo = mid
     if lo == 0.0:
         raise NumericError(f"path measure failed validation at every sampled tau down to {hi!r}")
     return lo
+
+
+def _tau_free_checks(weights: np.ndarray) -> bool:
+    """Whether the length buckets ``weights`` make every finite, positive
+    :func:`_path_matrix` of them symmetric with unit diagonal, as a
+    ``TransitionalMeasure`` demands, at every discount.
+
+    The diagonal needs no test: ``W[0] = I``, a simple path never returns
+    to its source, so every later bucket has a zero diagonal, and every
+    discount is finite; each diagonal entry is ``1.0 * 1.0 + s_l * 0.0 + ...
+    = 1.0`` exactly.
+
+    Symmetry holds when every bucket entry is within 5e-10 of its
+    transpose, relative to the transpose, which is what this tests.  The
+    exact sum ``S = sum_l s_l W_l`` then has ``|S_ij - S_ji| <= 5e-10
+    S_ji``.  The computed sum of the n nonnegative terms lies within
+    ``gamma_n`` (n u / (1 - n u), 1.4e-15 at n = 12) of ``S`` relative;
+    the test's own roundings and the terms that underflow add at most
+    n * 9e-16 absolute, as a discount that underflows loses at most half
+    the smallest subnormal, which times a finite bucket entry is below
+    9e-16.  So the computed ``|S_ij - S_ji|`` stays
+    below ``1e-12 + 1e-9 S_ji``, the bound of ``types._symmetric``, for any
+    n whose n^3 buckets fit in memory (n = 1000 would take 8 GB).  A bucket
+    that an underflow or overflow left lopsided fails the test, and the
+    search then builds each sample as a ``TransitionalMeasure``."""
+    flipped = weights.transpose(0, 2, 1)
+    with np.errstate(invalid="ignore"):  # inf - inf is NaN and fails the test
+        return bool((np.abs(weights - flipped) <= 5e-10 * flipped).all())

@@ -189,6 +189,9 @@ def _sweep(g, workdir):
                 _assert_sound(check_cutpoint_additivity(g, d, tol))
             scaled = _typed(normalize_distances, d, [(1, 2)], 3.0)
             assert scaled is None or np.isfinite(scaled.values).all()
+            for pair in ((1.5, 2), ("1", 2), (1, 2, 3), (np.nan, 2), (0, g.n + 1)):
+                with pytest.raises(ParameterError, match=r"^pair "):
+                    normalize_distances(d, [pair], 3.0)
 
         # A cap that is not at least 1 is refused by name; a NaN one used to
         # pass every size test and switch the cap off.

@@ -411,6 +411,22 @@ class TestNormalizeDistances:
             normalize_distances(shortest_path_lengths(p3()), [(1, 9)], 3.0)
         assert str(refused.value) == "pair (1, 9) out of range 1..3"
 
+    def test_integral_ids_accepted(self):
+        # As Graph accepts an edge's ends: any id equal to its int.
+        expected = normalize_distances(walk_distance(p4(), 0.4), self.PAIRS, 3.0).values.tobytes()
+        for pair in ((1.0, 2), (np.float64(1), 2), (np.int32(1), 2.0), (True, 2)):
+            d = normalize_distances(walk_distance(p4(), 0.4), [pair, (2, 3), (3, 4)], 3.0)
+            assert d.values.tobytes() == expected
+
+    @pytest.mark.parametrize(
+        "pair",
+        [(1.5, 2), ("1", 2), (1, 2, 3), (1,), 7, None, (math.nan, 2), (1, math.inf), (np.array([1, 2]), 3)],
+    )
+    def test_malformed_pair_refused_by_name(self, pair):
+        with pytest.raises(ParameterError) as refused:
+            normalize_distances(shortest_path_lengths(p4()), [(1, 2), pair], 3.0)
+        assert str(refused.value) == f"pair must be two integer vertex ids, got {pair!r}"
+
     def test_zero_sum_rejected(self):
         zero = DistanceMatrix(np.zeros((4, 4)), "candidate")
         with pytest.raises(ParameterError):

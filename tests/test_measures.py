@@ -1,5 +1,6 @@
 import math
 import time
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -119,6 +120,36 @@ class TestPathAccessibility:
                     if nonzero.any():
                         s[nonzero] += tau**length * bucket[nonzero]
                 assert path_accessibility(g, tau).matrix.tobytes() == s.tobytes()
+
+    def test_buckets_equal_the_nested_list_build(self, corpus):
+        rng = np.random.default_rng(7)
+        sized = [sized_multigraph(rng, n, chords) for n in (6, 9, 12) for chords in (0, 2, 4)]
+        huge = Graph(3, ((1, 2, 1e308), (1, 2, 1e308), (2, 3, 1.0)))  # a bucket entry past the float range
+        for g in [*corpus, *sized, huge]:
+            assert measures._path_length_weights(g).tobytes() == _nested_list_buckets(g).tobytes(), g
+
+    @pytest.mark.parametrize("chunk", [1, 60, 61])
+    def test_bucket_chunks_keep_the_bytes(self, monkeypatch, chunk):
+        # K4 has 60 simple paths: one per chunk, an exact multiple, one chunk.
+        g = Graph(4, tuple((u, v, 1.0 + 0.1 * u + 0.01 * v) for u in range(1, 5) for v in range(u + 1, 5)))
+        monkeypatch.setattr(measures, "_PATH_CHUNK", chunk)
+        measures._path_length_weights.cache_clear()
+        assert measures._path_length_weights(g).tobytes() == _nested_list_buckets(g).tobytes()
+
+    def test_bucket_memory_is_bounded_on_a_dense_graph(self, monkeypatch):
+        # K8 has 109,592 simple paths; holding a cell and a weight for each
+        # at once peaks near 10 MB, 1,024 at a time under 1 MB.
+        g = Graph(8, tuple((u, v, 1.0 + 0.01 * (u + v)) for u in range(1, 9) for v in range(u + 1, 9)))
+        monkeypatch.setattr(measures, "_PATH_CHUNK", 1024)
+        measures._path_length_weights.cache_clear()
+        tracemalloc.start()
+        try:
+            weights = measures._path_length_weights(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000, peak
+        assert weights.tobytes() == _nested_list_buckets(g).tobytes()
 
     @pytest.mark.parametrize("tau", [1e30, np.float64(1e30), math.inf])
     def test_discount_overflow_is_numeric_error(self, tau):
@@ -774,13 +805,118 @@ class TestFindTauThreshold:
     def test_refuses_a_validator_that_never_changes_its_verdict(self, monkeypatch, verdict, samples, message):
         # Passing: 1/rho and its 61 doublings up to 2^61 / rho.  Failing: 1/rho
         # and 19 halvings, to the first bracket no wider than 1e-6.
+        # Every sample, the first one inside path_accessibility included,
+        # sums its buckets through _path_matrix.
         taus = []
-        original = measures.path_accessibility
-        monkeypatch.setattr(measures, "path_accessibility", lambda g, tau, cap: taus.append(tau) or original(g, tau, cap))
+        original = measures._path_matrix
+        monkeypatch.setattr(measures, "_path_matrix", lambda weights, tau: taus.append(tau) or original(weights, tau))
         monkeypatch.setattr(measures, "_transition_test", lambda g, tol: lambda s: verdict)
         with pytest.raises(NumericError, match=message):
             find_tau_threshold(k3())
         assert len(taus) == samples
+
+    def test_one_measure_per_search(self, corpus, monkeypatch):
+        # Only the first sample is built as a TransitionalMeasure; the rest
+        # are checked by what their discount can change.
+        g = corpus[40]
+        calls = []
+        original = measures.path_accessibility
+        monkeypatch.setattr(measures, "path_accessibility", lambda g, tau, cap: calls.append(tau) or original(g, tau, cap))
+        samples = []
+        kernel = measures._path_matrix
+        monkeypatch.setattr(measures, "_path_matrix", lambda weights, tau: samples.append(tau) or kernel(weights, tau))
+        find_tau_threshold(g)
+        assert len(calls) == 1 and len(samples) > 10
+
+    @pytest.mark.parametrize("settled", [True, False], ids=["bucket-bound", "bound-fails"])
+    def test_same_outcome_as_a_search_that_checks_every_sample(self, corpus, monkeypatch, settled):
+        # The corpus scaled down keeps sums far below 1; scaled up, most
+        # buckets overflow and every sample is refused.
+        graphs = [
+            *(Graph(g.n, tuple((u, v, w * scale) for u, v, w in g.edges)) for scale in (1.0, 1e-150, 1e150) for g in corpus),
+            Graph(4, tuple(clique_edges(range(1, 5), 1e108))),
+            Graph(3, ((1, 2, 1e-11), (2, 3, 1e-11), (1, 3, 1e-11))),
+        ]
+        if not settled:
+            monkeypatch.setattr(measures, "_tau_free_checks", lambda weights: False)
+        outcomes = set()
+        for g in graphs:
+            outcome = _outcome(find_tau_threshold, g)
+            assert outcome == _outcome(_measure_search, g), g
+            outcomes.add(outcome[0])
+        assert outcomes == {float, NumericError}
+
+    @pytest.mark.parametrize("settled", [True, False], ids=["bucket-bound", "bound-fails"])
+    def test_a_later_sample_that_underflows_is_refused(self, monkeypatch, settled):
+        # Exactly symmetric buckets: the first sample, at tau = 1, holds the
+        # subnormal 1e-320, and halving tau underflows it to 0 before the
+        # bracket is narrow enough.
+        g = Graph(3, ((1, 2, 1e-320), (2, 3, 1.0)))
+        assert measures._tau_free_checks(measures._path_length_weights(g))
+        if not settled:
+            monkeypatch.setattr(measures, "_tau_free_checks", lambda weights: False)
+        monkeypatch.setattr(measures, "_transition_test", lambda g, tol: lambda s: 1)
+        with pytest.raises(NumericError) as refused:
+            find_tau_threshold(g)
+        assert str(refused.value) == "path measure has non-positive or non-finite entries"
+        assert _outcome(_measure_search, g) == (NumericError, str(refused.value))
+
+    def test_lopsided_buckets_are_checked_in_full(self):
+        # Products that underflow in one direction and not the other leave
+        # W_3[1, 4] = 9.99989e-121 against W_3[4, 1] = 1e-120.
+        g = Graph(4, ((1, 2, 1e-200), (2, 3, 1e-120), (3, 4, 1e200)))
+        weights = measures._path_length_weights(g)
+        assert weights[3, 3, 0] == 1e-120 and weights[3, 0, 3] != weights[3, 3, 0]
+        assert not measures._tau_free_checks(weights)
+        with pytest.raises(NumericError) as refused:
+            find_tau_threshold(g)
+        assert str(refused.value) == "path measure has non-positive or non-finite entries"
+        assert _outcome(_measure_search, g) == (NumericError, str(refused.value))
+
+
+def _nested_list_buckets(g):
+    """The length buckets as they were built before the flat scatter: n^3
+    nested lists, each path added to its cell in enumeration order."""
+    n, adj = g.n, _sorted_adjacency(g)
+    weights = [[[0.0] * n for _ in range(n)] for _ in range(n)]
+    for row in range(n):
+        weights[0][row][row] = 1.0
+        for target, length, weight, _ in _simple_paths(g, row + 1, adj):
+            weights[length][row][target - 1] += weight
+    array = np.array(weights)
+    return array[: np.flatnonzero(array.any(axis=(1, 2)))[-1] + 1]
+
+
+def _outcome(call, g):
+    """``(float, repr(result))`` of ``call(g)``, or its refusal's type and message."""
+    try:
+        return float, repr(call(g))
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def _measure_search(g, precision=1e-6, tol=1e-9):
+    """The threshold search as it was when every sample was built as a
+    ``TransitionalMeasure``, kept to check the once-per-graph checks against."""
+    start = 1.0 / linalg._spectral_radius(adjacency_matrix(g))
+    failures = measures._transition_test(g, tol)
+
+    def fails(tau):
+        return failures(measures._log_distance(path_accessibility(g, tau).matrix))
+
+    lo, hi = 0.0, start
+    while not fails(hi):
+        if hi > 2.0**60 * start:
+            raise NumericError("path measure validated at every tau up to 2^60 / rho")
+        lo, hi = hi, 2.0 * hi
+    while hi - lo > precision and lo < (mid := 0.5 * (lo + hi)) < hi:
+        if fails(mid):
+            hi = mid
+        else:
+            lo = mid
+    if lo == 0.0:
+        raise NumericError(f"path measure failed validation at every sampled tau down to {hi!r}")
+    return lo
 
 
 def _report_search(g, precision=1e-6, tol=1e-9):
