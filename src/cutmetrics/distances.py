@@ -21,7 +21,7 @@ import numpy as np
 from . import linalg, measures
 from .errors import NumericError, ParameterError
 from .graph import Graph, adjacency_matrix, laplacian, separation_labels
-from .types import DistanceMatrix, TransitionalMeasure, ValidationReport
+from .types import DistanceMatrix, TransitionalMeasure, ValidationReport, _integer
 
 __all__ = [
     "log_distance",
@@ -234,11 +234,10 @@ def normalize_distances(
     for pair in pairs:
         try:
             u, v = pair
-            iu, iv = int(u), int(v)
-            integral = iu == u and iv == v
-        except (TypeError, ValueError, OverflowError):  # not a pair, not numbers, NaN, infinities
-            integral = False
-        if not integral:
+        except (TypeError, ValueError):  # not a pair
+            u = v = None
+        iu, iv = _integer(u), _integer(v)
+        if iu is None or iv is None:
             raise ParameterError(f"pair must be two integer vertex ids, got {pair!r}")
         if not (1 <= iu <= d.order and 1 <= iv <= d.order):
             raise ParameterError(f"pair ({u}, {v}) out of range 1..{d.order}")

@@ -17,7 +17,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import GraphInputError, NumericError
-from .types import DistanceMatrix
+from .types import DistanceMatrix, _integer
 
 __all__ = [
     "Graph",
@@ -183,15 +183,24 @@ def _laplacian_of(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _vertex(g: Graph, v) -> int:
+    """The vertex id ``v`` of ``g`` as an int: a :class:`GraphInputError`
+    unless its value is an integer in ``1..n``."""
+    iv = _integer(v)
+    if iv is None:
+        raise GraphInputError(f"vertex id must be an integer, got {v!r}")
+    if not 1 <= iv <= g.n:
+        raise GraphInputError(f"vertex id out of range 1..{g.n}: {v}")
+    return iv
+
+
 def is_cutpoint_between(g: Graph, j: int, i: int, k: int) -> bool:
     """True iff every path from ``i`` to ``k`` visits ``j``.
 
     Endpoints contain themselves, so ``j == i`` or ``j == k`` is True.
     Otherwise ``j`` is removed and ``k`` must become unreachable from ``i``.
     """
-    for v in (i, j, k):
-        if not (1 <= v <= g.n):
-            raise GraphInputError(f"vertex id out of range 1..{g.n}: {v}")
+    i, j, k = _vertex(g, i), _vertex(g, j), _vertex(g, k)
     if j == i or j == k:
         return True
     return k not in _bfs(g._neighbors, i, removed=j)

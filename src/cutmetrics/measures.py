@@ -565,11 +565,10 @@ def find_tau_threshold(
     monotone in ``tau`` only heuristically.
 
     The first sample is :func:`path_accessibility`; every later one is its
-    :func:`_path_matrix`, refused as the ``TransitionalMeasure`` would
-    refuse it.  Of that measure's checks, only finite-and-positive entries
-    depend on ``tau``; :func:`_tau_free_checks` settles the rest once per
-    graph from the length buckets, and where it cannot, every sample is
-    built as a ``TransitionalMeasure``.
+    :func:`_path_matrix`, refused only where an entry is not finite and
+    positive, as the log distance needs.  The returned ``tau`` is built by
+    :func:`path_accessibility` once more, so its measure is checked for
+    symmetry and a unit diagonal as every measure is.
     """
     if not precision > 0.0:
         raise ParameterError(f"precision must be positive, got {precision}")
@@ -581,12 +580,9 @@ def find_tau_threshold(
     # The first sample raises above the vertex cap, before the mask exists.
     s = path_accessibility(g, hi, max_vertices).matrix
     weights = _path_length_weights(g)
-    settled = _tau_free_checks(weights)
 
     def sample(tau: float) -> np.ndarray:
         m = _path_matrix(weights, tau)
-        if not settled:
-            return TransitionalMeasure("path", m, {"tau": tau}).matrix
         if not (m.min() > 0.0 and m.max() < np.inf):
             raise NumericError("path measure has non-positive or non-finite entries")
         return m
@@ -604,32 +600,6 @@ def find_tau_threshold(
             lo = mid
     if lo == 0.0:
         raise NumericError(f"path measure failed validation at every sampled tau down to {hi!r}")
+    path_accessibility(g, lo, max_vertices)
     return lo
 
-
-def _tau_free_checks(weights: np.ndarray) -> bool:
-    """Whether the length buckets ``weights`` make every finite, positive
-    :func:`_path_matrix` of them symmetric with unit diagonal, as a
-    ``TransitionalMeasure`` demands, at every discount.
-
-    The diagonal needs no test: ``W[0] = I``, a simple path never returns
-    to its source, so every later bucket has a zero diagonal, and every
-    discount is finite; each diagonal entry is ``1.0 * 1.0 + s_l * 0.0 + ...
-    = 1.0`` exactly.
-
-    Symmetry holds when every bucket entry is within 5e-10 of its
-    transpose, relative to the transpose, which is what this tests.  The
-    exact sum ``S = sum_l s_l W_l`` then has ``|S_ij - S_ji| <= 5e-10
-    S_ji``.  The computed sum of the n nonnegative terms lies within
-    ``gamma_n`` (n u / (1 - n u), 1.4e-15 at n = 12) of ``S`` relative;
-    the test's own roundings and the terms that underflow add at most
-    n * 9e-16 absolute, as a discount that underflows loses at most half
-    the smallest subnormal, which times a finite bucket entry is below
-    9e-16.  So the computed ``|S_ij - S_ji|`` stays
-    below ``1e-12 + 1e-9 S_ji``, the bound of ``types._symmetric``, for any
-    n whose n^3 buckets fit in memory (n = 1000 would take 8 GB).  A bucket
-    that an underflow or overflow left lopsided fails the test, and the
-    search then builds each sample as a ``TransitionalMeasure``."""
-    flipped = weights.transpose(0, 2, 1)
-    with np.errstate(invalid="ignore"):  # inf - inf is NaN and fails the test
-        return bool((np.abs(weights - flipped) <= 5e-10 * flipped).all())

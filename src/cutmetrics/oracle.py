@@ -16,10 +16,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import CapExceededError, GraphInputError, NumericError, ParameterError
-from .graph import Graph, adjacency_matrix
+from .errors import CapExceededError, NumericError, ParameterError
+from .graph import Graph, _vertex, adjacency_matrix
 from .measures import _cap
-from .types import Path, RootedForestSummary
+from .types import Path, RootedForestSummary, _integer
 
 __all__ = [
     "enumerate_paths",
@@ -45,9 +45,7 @@ def enumerate_paths(g: Graph, i: int, j: int, max_vertices: int = PATH_VERTEX_CA
     _cap("max_vertices", max_vertices)
     if g.n > max_vertices:
         raise CapExceededError(f"path enumeration capped at {max_vertices} vertices, graph has {g.n}")
-    for v in (i, j):
-        if not (1 <= v <= g.n):
-            raise GraphInputError(f"vertex id out of range 1..{g.n}: {v}")
+    i, j = _vertex(g, i), _vertex(g, j)
     if i == j:
         return [Path((i,), (), 0, 1.0)]
 
@@ -91,18 +89,22 @@ def truncated_walk_sum(g: Graph, t: float, k_terms: int) -> np.ndarray:
     """Partial walk-weight sum ``I + tA + ... + (tA)^K`` by repeated
     multiplication.  Converges to the full walk matrix for ``t rho < 1``
     with entrywise tail below ``(t rho)^(K+1) / (1 - t rho)``.  A
-    non-finite ``t`` is refused, and so is a sum that overflows a float."""
+    non-finite ``t``, a ``k_terms`` that is not an integer >= 0 and a sum
+    that overflows a float are refused."""
     if not math.isfinite(t):
         raise ParameterError(f"walk parameter must be finite, got {t!r}")
+    terms = _integer(k_terms)
+    if terms is None or terms < 0:
+        raise ParameterError(f"k_terms must be an integer >= 0, got {k_terms!r}")
     acc = np.eye(g.n)
     term = np.eye(g.n)
     with np.errstate(over="ignore", invalid="ignore"):  # refused as non-finite below
         ta = t * adjacency_matrix(g)
-        for _ in range(k_terms):
+        for _ in range(terms):
             term = term @ ta
             acc = acc + term
     if not np.isfinite(acc).all():
-        raise NumericError(f"walk sum to (tA)^{k_terms} overflows a float at t={t!r}")
+        raise NumericError(f"walk sum to (tA)^{terms} overflows a float at t={t!r}")
     return acc
 
 
@@ -122,8 +124,18 @@ def long_walk_limit(g: Graph, rtol: float = 1e-8, k_start: int = 2, k_max: int =
     taken on ``A`` scaled by the power of two that brings its largest entry
     into [0.5, 1), exactly, and scaled back: weights far from 1 neither
     overflow nor underflow the quotient.  Walk weights that underflow to 0,
-    and a limit that overflows a float, raise :class:`NumericError`.
+    and a limit that overflows a float, raise :class:`NumericError`;
+    an ``rtol`` outside (0, inf), a ``k_start`` that is not an integer >= 1
+    and a ``k_max`` that is not an integer above it are refused before the
+    first inverse.
     """
+    if not 0.0 < rtol < math.inf:
+        raise ParameterError(f"rtol must lie in (0, inf), got {rtol!r}")
+    start, stop = _integer(k_start), _integer(k_max)
+    if start is None or start < 1:
+        raise ParameterError(f"k_start must be an integer >= 1, got {k_start!r}")
+    if stop is None or stop <= start:
+        raise ParameterError(f"k_max must be an integer above k_start, got {k_max!r}")
     n = g.n
     a = adjacency_matrix(g)
     exponent = math.frexp(a.max())[1]
@@ -135,7 +147,7 @@ def long_walk_limit(g: Graph, rtol: float = 1e-8, k_start: int = 2, k_max: int =
     off_diag = ~np.eye(n, dtype=bool)
     previous_row: list[np.ndarray] | None = None
     change = np.inf
-    for k in range(k_start, k_max + 1):
+    for k in range(start, stop + 1):
         t = (1.0 - 2.0 ** (-k)) / rho
         r = np.linalg.inv(np.eye(n) - t * a)
         if not (r > 0.0).all():
@@ -156,7 +168,7 @@ def long_walk_limit(g: Graph, rtol: float = 1e-8, k_start: int = 2, k_max: int =
                 return limit
         previous_row = row
     raise NumericError(
-        f"long-walk extrapolation did not converge by k={k_max}: last two "
+        f"long-walk extrapolation did not converge by k={stop}: last two "
         f"iterates differ by {change:.3e} relative (requested {rtol:.1e})"
     )
 
@@ -250,9 +262,7 @@ def reliability_by_edge_states(g: Graph, i: int, j: int, max_edges: int = EDGE_S
     m = sum(1 for u, v, _ in g.edges if u != v)
     if m > max_edges:
         raise CapExceededError(f"edge-state sweep capped at {max_edges} edges, graph has {m}")
-    for v in (i, j):
-        if not (1 <= v <= g.n):
-            raise GraphInputError(f"vertex id out of range 1..{g.n}: {v}")
+    i, j = _vertex(g, i), _vertex(g, j)
     return float(_edge_state_table(g)[i - 1, j - 1])
 
 

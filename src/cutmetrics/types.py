@@ -105,19 +105,23 @@ class ValidationReport:
         return f"ValidationReport(passed={self.passed!r}, violations={self.violations!r})"
 
 
+def _integer(x) -> int | None:
+    """``x`` as an int where its value is an integer, as a :class:`Graph`
+    edge's ends may be (``1.0`` is vertex 1); None for anything else: a
+    fraction, NaN, an infinity, a string or no number at all."""
+    try:
+        i = int(x)
+    except (TypeError, ValueError, OverflowError):
+        return None
+    return i if i == x else None
+
+
 def _symmetric(m: np.ndarray) -> bool:
     """``np.allclose(m, m.T, rtol=1e-9, atol=1e-12)`` for finite ``m``,
     without its handling of infinities and NaN.  An exactly symmetric
-    ``m``, as the dense families build, is settled by the difference alone.
-    Otherwise the largest difference is first held to the bound at
-    ``m.min()``, which is at most every ``|m[j, i]|``: both roundings of
-    the bound are monotone, so it lies below every entry's own, and passing
-    it passes them all.  Rounding is symmetric in sign, so ``m - m.T`` is
-    exactly antisymmetric and its maximum is its largest magnitude."""
+    ``m``, as the dense families build, is settled by the difference alone."""
     diff = m - m.T
     if not diff.any():
-        return True
-    if diff.max() <= 1e-12 + 1e-9 * m.min():
         return True
     return bool((np.abs(diff, out=diff) <= 1e-12 + 1e-9 * np.abs(m.T)).all())
 
@@ -175,9 +179,12 @@ class DistanceMatrix:
 
     def value(self, u: int, v: int) -> float:
         """Distance between vertices ``u`` and ``v`` (1-based ids)."""
-        if not (1 <= u <= self.order and 1 <= v <= self.order):
+        iu, iv = _integer(u), _integer(v)
+        if iu is None or iv is None:
+            raise IndexError(f"vertex pair ({u!r}, {v!r}) must be two integer ids")
+        if not (1 <= iu <= self.order and 1 <= iv <= self.order):
             raise IndexError(f"vertex pair ({u}, {v}) out of range 1..{self.order}")
-        return float(self.values[u - 1, v - 1])
+        return float(self.values[iu - 1, iv - 1])
 
 
 @dataclass(frozen=True, eq=False)

@@ -14,8 +14,10 @@ from hypothesis import example, given, settings, strategies as st
 from cutmetrics import (
     CutMetricsError,
     Graph,
+    GraphInputError,
     NumericError,
     ParameterError,
+    Path,
     adjacency_matrix,
     check_cutpoint_additivity,
     check_metric_axioms,
@@ -25,6 +27,7 @@ from cutmetrics import (
     find_tau_threshold,
     forest_distance,
     forest_matrix,
+    is_cutpoint_between,
     laplacian,
     log_distance,
     long_walk_distance,
@@ -212,12 +215,28 @@ def _sweep(g, workdir):
         assert paths is None or np.isfinite([p.weight for p in paths]).all()
         forests = _typed(enumerate_rooted_forests, g, EXHAUSTIVE_EDGES)
         assert forests is None or np.isfinite([forests.total_weight, *forests.weights.ravel()]).all()
-        for oracle in (
-            _typed(truncated_walk_sum, g, t, 8),
-            _typed(long_walk_limit, g),
-            _typed(reliability_by_edge_states, g, 1, g.n, EXHAUSTIVE_EDGES),
-        ):
+        reliability = _typed(reliability_by_edge_states, g, 1, g.n, EXHAUSTIVE_EDGES)
+        for oracle in (_typed(truncated_walk_sum, g, t, 8), _typed(long_walk_limit, g), reliability):
             assert oracle is None or np.isfinite(oracle).all()
+
+        # One vertex-id rule: an id of integral value is that vertex, any
+        # other is refused, by GraphInputError and by IndexError for a value.
+        hops = shortest_path_lengths(g)
+        assert is_cutpoint_between(g, 1.0, 1, np.int64(g.n))
+        assert enumerate_paths(g, 1.0, 1.0) == [Path((1,), (), 0, 1.0)]
+        assert _typed(reliability_by_edge_states, g, 1.0, float(g.n), EXHAUSTIVE_EDGES) == reliability
+        assert hops.value(1.0, np.int64(g.n)) == hops.value(1, g.n)
+        for bad in (1.5, "1", np.nan, np.inf, None, 0, g.n + 1):
+            for call in (
+                lambda: is_cutpoint_between(g, bad, 1, g.n),
+                lambda: is_cutpoint_between(g, 1, bad, g.n),
+                lambda: enumerate_paths(g, 1, bad),
+                lambda: reliability_by_edge_states(g, bad, 1, 1 << 30),
+            ):
+                with pytest.raises(GraphInputError, match=r"^vertex id (must be an integer|out of range)"):
+                    call()
+            with pytest.raises(IndexError, match=r"^vertex pair "):
+                hops.value(1, bad)
 
         for metric in (
             "forest", "resistance", "longwalk", "shortest", "longwalk-rescaled", "reliability",

@@ -583,9 +583,14 @@ class TestContainerRefusals:
                 "candidate distance has non-finite entries",
             ),
             (lambda: DistanceMatrix(np.zeros((2, 2)), "candidate").value(0, 1), IndexError, "vertex pair (0, 1) out of range 1..2"),
+            (
+                lambda: DistanceMatrix(np.zeros((2, 2)), "candidate").value(1.5, 2),
+                IndexError,
+                "vertex pair (1.5, 2) must be two integer ids",
+            ),
             (lambda: TransitionalMeasure("bogus", np.ones((2, 2))), ValueError, "unknown measure kind 'bogus'"),
         ],
-        ids=["non-square", "nan", "vertex-zero", "unknown-kind"],
+        ids=["non-square", "nan", "vertex-zero", "vertex-fraction", "unknown-kind"],
     )
     def test_refused_with_its_type_and_message(self, build, error, message):
         with pytest.raises(error) as refused:

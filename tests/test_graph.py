@@ -175,6 +175,14 @@ class TestCutpointOracle:
             is_cutpoint_between(p3(), 9, 1, 2)
         assert str(refused.value) == "vertex id out of range 1..3: 9"
 
+    @pytest.mark.parametrize("ids", [(1.5, 1, 3), (2, 1.5, 3), ("2", 1, 3), (2, 1, float("nan"))])
+    def test_non_integer_vertex_refused(self, ids):
+        # 1.5 as the pivot used to return False; as an end, or a string, it raised TypeError.
+        bad = next(v for v in ids if not isinstance(v, int))
+        with pytest.raises(GraphInputError) as refused:
+            is_cutpoint_between(p3(), *ids)
+        assert str(refused.value) == f"vertex id must be an integer, got {bad!r}"
+
     def test_symmetric_in_endpoints(self, small_corpus):
         for g in small_corpus[:10]:
             for j in range(1, g.n + 1):

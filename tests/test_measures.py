@@ -816,8 +816,9 @@ class TestFindTauThreshold:
         assert len(taus) == samples
 
     def test_one_measure_per_search(self, corpus, monkeypatch):
-        # Only the first sample is built as a TransitionalMeasure; the rest
-        # are checked by what their discount can change.
+        # One measure besides the returned one: only the first sample and
+        # the returned tau are built as a TransitionalMeasure, and the
+        # samples between them are checked only for finite, positive entries.
         g = corpus[40]
         calls = []
         original = measures.path_accessibility
@@ -825,36 +826,47 @@ class TestFindTauThreshold:
         samples = []
         kernel = measures._path_matrix
         monkeypatch.setattr(measures, "_path_matrix", lambda weights, tau: samples.append(tau) or kernel(weights, tau))
-        find_tau_threshold(g)
-        assert len(calls) == 1 and len(samples) > 10
+        tau = find_tau_threshold(g)
+        assert len(calls) == 2 and calls[-1] == tau and len(samples) > 10
 
-    @pytest.mark.parametrize("settled", [True, False], ids=["bucket-bound", "bound-fails"])
-    def test_same_outcome_as_a_search_that_checks_every_sample(self, corpus, monkeypatch, settled):
+    @pytest.mark.parametrize("within_bound", [True, False], ids=["bucket-bound", "bound-fails"])
+    def test_same_outcome_as_a_search_that_checks_every_sample(self, corpus, within_bound):
         # The corpus scaled down keeps sums far below 1; scaled up, most
-        # buckets overflow and every sample is refused.
+        # buckets overflow and every sample is refused.  Subnormal edges on
+        # a 4-cycle, and the lopsided P4, leave buckets outside the bound of
+        # _within_bucket_bound; the one route serves graphs on either side.
         graphs = [
             *(Graph(g.n, tuple((u, v, w * scale) for u, v, w in g.edges)) for scale in (1.0, 1e-150, 1e150) for g in corpus),
             Graph(4, tuple(clique_edges(range(1, 5), 1e108))),
             Graph(3, ((1, 2, 1e-11), (2, 3, 1e-11), (1, 3, 1e-11))),
+            Graph(4, ((1, 2, 0.61), (2, 3, 1e-318), (3, 4, 0.33), (1, 4, 1e-318))),
+            Graph(4, ((1, 2, 0.41), (2, 3, 5e-319), (3, 4, 0.7), (1, 4, 5e-319))),
+            Graph(4, ((1, 2, 1e-200), (2, 3, 1e-120), (3, 4, 1e200))),
         ]
-        if not settled:
-            monkeypatch.setattr(measures, "_tau_free_checks", lambda weights: False)
         outcomes = set()
         for g in graphs:
+            if _within_bucket_bound(measures._path_length_weights(g)) != within_bound:
+                continue
             outcome = _outcome(find_tau_threshold, g)
             assert outcome == _outcome(_measure_search, g), g
             outcomes.add(outcome[0])
         assert outcomes == {float, NumericError}
 
-    @pytest.mark.parametrize("settled", [True, False], ids=["bucket-bound", "bound-fails"])
-    def test_a_later_sample_that_underflows_is_refused(self, monkeypatch, settled):
-        # Exactly symmetric buckets: the first sample, at tau = 1, holds the
-        # subnormal 1e-320, and halving tau underflows it to 0 before the
-        # bracket is narrow enough.
-        g = Graph(3, ((1, 2, 1e-320), (2, 3, 1.0)))
-        assert measures._tau_free_checks(measures._path_length_weights(g))
-        if not settled:
-            monkeypatch.setattr(measures, "_tau_free_checks", lambda weights: False)
+    @pytest.mark.parametrize(
+        "g, within_bound",
+        [
+            (Graph(3, ((1, 2, 1e-320), (2, 3, 1.0))), True),
+            (Graph(4, ((1, 2, 1e-320), (2, 3, 0.61), (3, 4, 0.33))), False),
+        ],
+        ids=["bucket-bound", "bound-fails"],
+    )
+    def test_a_later_sample_that_underflows_is_refused(self, monkeypatch, g, within_bound):
+        # The first sample, at tau = 1 / rho, holds the subnormal S_12 and
+        # builds; halving tau underflows it to 0 before the bracket is narrow
+        # enough.  On the P3 the buckets are exactly symmetric; on the P4 the
+        # path 1-2-3-4 rounds differently from its two ends.
+        assert _within_bucket_bound(measures._path_length_weights(g)) == within_bound
+        path_accessibility(g, 1.0 / linalg._spectral_radius(adjacency_matrix(g)))
         monkeypatch.setattr(measures, "_transition_test", lambda g, tol: lambda s: 1)
         with pytest.raises(NumericError) as refused:
             find_tau_threshold(g)
@@ -867,11 +879,37 @@ class TestFindTauThreshold:
         g = Graph(4, ((1, 2, 1e-200), (2, 3, 1e-120), (3, 4, 1e200)))
         weights = measures._path_length_weights(g)
         assert weights[3, 3, 0] == 1e-120 and weights[3, 0, 3] != weights[3, 3, 0]
-        assert not measures._tau_free_checks(weights)
         with pytest.raises(NumericError) as refused:
             find_tau_threshold(g)
         assert str(refused.value) == "path measure has non-positive or non-finite entries"
         assert _outcome(_measure_search, g) == (NumericError, str(refused.value))
+
+    @pytest.mark.parametrize("g", [paw(), k3()], ids=["paw", "k3"])
+    def test_an_asymmetric_sample_is_refused_only_where_returned(self, monkeypatch, g):
+        # The skew keeps S_12 S_21, so the symmetrized log distance, and with
+        # it every verdict, stays as it was; only the returned tau's measure
+        # is checked for symmetry.  2 / rho is a sample past the threshold.
+        tau = find_tau_threshold(g)
+        failing = 2.0 / linalg._spectral_radius(adjacency_matrix(g))
+        assert failing > tau
+        kernel = measures._path_matrix
+
+        def skewed_at(at):
+            def path_matrix(weights, sample):
+                m = kernel(weights, sample)
+                if sample == at:
+                    m[0, 1] *= 1.0 + 1e-6
+                    m[1, 0] /= 1.0 + 1e-6
+                return m
+
+            return path_matrix
+
+        monkeypatch.setattr(measures, "_path_matrix", skewed_at(failing))
+        assert find_tau_threshold(g) == tau
+        monkeypatch.setattr(measures, "_path_matrix", skewed_at(tau))
+        with pytest.raises(NumericError) as refused:
+            find_tau_threshold(g)
+        assert str(refused.value) == "path measure is not symmetric"
 
 
 def _nested_list_buckets(g):
@@ -887,6 +925,15 @@ def _nested_list_buckets(g):
     return array[: np.flatnonzero(array.any(axis=(1, 2)))[-1] + 1]
 
 
+def _within_bucket_bound(weights):
+    """Whether every length bucket lies within 5e-10 of its transpose,
+    relative to the transpose: the bound under which the search once
+    skipped building each sample as a ``TransitionalMeasure``."""
+    flipped = weights.transpose(0, 2, 1)
+    with np.errstate(invalid="ignore"):  # inf - inf is NaN and fails the test
+        return bool((np.abs(weights - flipped) <= 5e-10 * flipped).all())
+
+
 def _outcome(call, g):
     """``(float, repr(result))`` of ``call(g)``, or its refusal's type and message."""
     try:
@@ -897,7 +944,8 @@ def _outcome(call, g):
 
 def _measure_search(g, precision=1e-6, tol=1e-9):
     """The threshold search as it was when every sample was built as a
-    ``TransitionalMeasure``, kept to check the once-per-graph checks against."""
+    ``TransitionalMeasure``, kept as the reference for a search that builds
+    only its first sample and its returned tau as one."""
     start = 1.0 / linalg._spectral_radius(adjacency_matrix(g))
     failures = measures._transition_test(g, tol)
 

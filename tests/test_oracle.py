@@ -59,6 +59,16 @@ class TestEnumeratePaths:
             enumerate_paths(p3(), i, j)
         assert str(refused.value) == f"vertex id out of range 1..3: {bad}"
 
+    @pytest.mark.parametrize("bad", [1.5, "1", float("nan"), None])
+    def test_non_integer_vertex_refused(self, bad):
+        with pytest.raises(GraphInputError) as refused:
+            enumerate_paths(p3(), bad, 3)
+        assert str(refused.value) == f"vertex id must be an integer, got {bad!r}"
+
+    def test_integral_ids_are_the_vertex(self):
+        assert enumerate_paths(k3(), 1.0, np.int64(2)) == enumerate_paths(k3(), 1, 2)
+        assert enumerate_paths(p3(), 2.0, 2) == [Path((2,), (), 0, 1.0)]
+
     def test_overflowing_path_weight_is_numeric_error(self):
         with pytest.raises(NumericError, match="path weight from 1 to 3 overflows"):
             enumerate_paths(Graph(3, ((1, 2, 1e200), (2, 3, 1e200))), 1, 3)
@@ -95,6 +105,16 @@ class TestTruncatedWalkSum:
         with pytest.raises(NumericError, match=r"walk sum to \(tA\)\^5 overflows"):
             truncated_walk_sum(p2(), 1e308, 5)
 
+    @pytest.mark.parametrize("k_terms", [-1, 2.5, float("nan"), float("inf"), "3"])
+    def test_term_count_that_is_no_integer_at_least_zero_refused(self, k_terms):
+        # 2.5 used to raise TypeError, and -1 to return I.
+        with pytest.raises(ParameterError) as refused:
+            truncated_walk_sum(p2(), 0.5, k_terms)
+        assert str(refused.value) == f"k_terms must be an integer >= 0, got {k_terms!r}"
+
+    def test_integral_term_count_accepted(self):
+        assert np.array_equal(truncated_walk_sum(k3(), 0.25, 4.0), truncated_walk_sum(k3(), 0.25, 4))
+
 
 class TestLongWalkLimit:
     def test_closed_form_matches_limit(self, small_corpus):
@@ -108,6 +128,35 @@ class TestLongWalkLimit:
     def test_non_convergence_reported(self):
         with pytest.raises(NumericError, match="extrapolation"):
             long_walk_limit(p3(), k_max=3)
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"rtol": float("nan")}, "rtol must lie in (0, inf), got nan"),
+            ({"rtol": 0.0}, "rtol must lie in (0, inf), got 0.0"),
+            ({"rtol": -1e-8}, "rtol must lie in (0, inf), got -1e-08"),
+            ({"rtol": float("inf")}, "rtol must lie in (0, inf), got inf"),
+            ({"k_start": 2.5}, "k_start must be an integer >= 1, got 2.5"),
+            ({"k_start": 0}, "k_start must be an integer >= 1, got 0"),
+            ({"k_start": float("nan")}, "k_start must be an integer >= 1, got nan"),
+            ({"k_max": float("nan")}, "k_max must be an integer above k_start, got nan"),
+            ({"k_max": 24.5}, "k_max must be an integer above k_start, got 24.5"),
+            ({"k_max": 2}, "k_max must be an integer above k_start, got 2"),
+            ({"k_start": 5, "k_max": 3}, "k_max must be an integer above k_start, got 3"),
+        ],
+    )
+    def test_walk_parameters_refused_before_any_inverse(self, monkeypatch, kwargs, message):
+        # rtol = nan used to run every inverse before reporting "requested
+        # nan", and k_max <= k_start to report a change of inf.
+        inverses = []
+        monkeypatch.setattr(np.linalg, "inv", lambda a: inverses.append(a))
+        with pytest.raises(ParameterError) as refused:
+            long_walk_limit(k3(), **kwargs)
+        assert str(refused.value) == message
+        assert inverses == []
+
+    def test_integral_walk_parameters_accepted(self):
+        assert np.array_equal(long_walk_limit(k3(), k_start=2.0, k_max=24.0), long_walk_limit(k3()))
 
     def test_relaxed_rtol_on_larger_graph(self):
         # On bigger graphs the quotient's noise floor sits above 1e-8;
@@ -175,6 +224,16 @@ class TestReliabilityByEdgeStates:
         with pytest.raises(GraphInputError) as refused:
             reliability_by_edge_states(p3(), i, j)
         assert str(refused.value) == f"vertex id out of range 1..3: {bad}"
+
+    @pytest.mark.parametrize("bad", [1.5, "3", float("inf"), None])
+    def test_non_integer_vertex_refused(self, bad):
+        # Each used to raise numpy's IndexError or a TypeError.
+        with pytest.raises(GraphInputError) as refused:
+            reliability_by_edge_states(p3(), 1, bad)
+        assert str(refused.value) == f"vertex id must be an integer, got {bad!r}"
+
+    def test_integral_ids_are_the_vertex(self):
+        assert reliability_by_edge_states(p3(), 1.0, 3.0) == reliability_by_edge_states(p3(), 1, 3)
 
     def test_loops_do_not_matter(self):
         plain = parse_graph("2\n1 2 0.7")
