@@ -83,6 +83,7 @@ class Graph:
         for column in columns:
             column.flags.writeable = False
         object.__setattr__(self, "_edge_columns", columns)
+        # _adjacency keeps its scatter index beside them as ``_scatter``.
 
 
 def _bfs(adj, start: int, removed: int = 0) -> dict[int, int]:
@@ -151,14 +152,22 @@ def adjacency_matrix(g: Graph) -> np.ndarray:
 
 def _adjacency(g: Graph, w: np.ndarray) -> np.ndarray:
     """The adjacency matrix of ``g`` with edge instance ``e`` weighted ``w[e]``."""
-    u, v, _ = g._edge_columns
-    # Both ends of every edge in edge order, a loop's once.  bincount adds
-    # in input order, so each entry rounds as in a loop over the edges.
-    ends = np.column_stack((u, v)).ravel() - 1
-    cells = ends * g.n + np.column_stack((v, u)).ravel() - 1
-    keep = np.ones(len(cells), dtype=bool)
-    keep[1::2] = u != v
-    return np.bincount(cells[keep], np.repeat(w, 2)[keep], g.n * g.n).reshape(g.n, g.n)
+    if not hasattr(g, "_scatter"):
+        # The flat cells of both ends of every edge in edge order, a loop's
+        # once, and their edge instances: built on the graph's first matrix
+        # and kept on it, read-only.  bincount adds in input order, so each
+        # entry rounds as in a loop over the edges.
+        u, v, _ = g._edge_columns
+        cells = (np.column_stack((u, v)).ravel() - 1) * g.n + np.column_stack((v, u)).ravel() - 1
+        keep = np.ones(len(cells), dtype=bool)
+        keep[1::2] = u != v
+        kept = np.flatnonzero(keep)
+        scatter = cells[kept], kept // 2
+        for column in scatter:
+            column.flags.writeable = False
+        object.__setattr__(g, "_scatter", scatter)
+    cells, edges = g._scatter
+    return np.bincount(cells, w[edges], g.n * g.n).reshape(g.n, g.n)
 
 
 def laplacian(g: Graph) -> np.ndarray:

@@ -9,14 +9,16 @@ The metric-axioms and cutpoint-additivity checks are rules on the same
 gaps, and :func:`_checks` runs any of the three in one pass.
 
 Path and reliability values are sums over explicit simple-path
-enumerations: each measure runs its own pass of :func:`_simple_paths`, path
-from every source vertex and reliability from every one but the last, so
-both carry exhaustive-size caps that fail loudly.
+enumerations by :func:`_simple_paths`, so both carry exhaustive-size caps
+that fail loudly.  Path traverses the whole graph from every source vertex.
+Reliability traverses each block of the block-cut tree alone and multiplies
+block values across the cut vertices, as the bottleneck identity allows.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from collections.abc import Iterator
 from functools import lru_cache
 
@@ -24,7 +26,7 @@ import numpy as np
 
 from . import linalg
 from .errors import CapExceededError, NumericError, ParameterError
-from .graph import Graph, _adjacency, _laplacian_of, _separated, _separated_at, adjacency_matrix, separation_labels
+from .graph import Graph, _adjacency, _block_cut_tree, _laplacian_of, _separated, _separated_at, adjacency_matrix, separation_labels
 from .types import TransitionalMeasure, ValidationReport
 
 __all__ = [
@@ -149,6 +151,7 @@ def path_accessibility(g: Graph, tau: float, max_vertices: int = PATH_VERTEX_CAP
     Parallel edges count as distinct paths.  Dense graphs near the vertex
     cap are expensive: the enumeration is exhaustive by design.
     """
+    _real("tau", tau)
     if not tau > 0.0:
         raise ParameterError(f"tau must be positive, got {tau}")
     _cap("max_vertices", max_vertices)
@@ -157,9 +160,17 @@ def path_accessibility(g: Graph, tau: float, max_vertices: int = PATH_VERTEX_CAP
     return TransitionalMeasure("path", _path_matrix(_path_length_weights(g), tau), {"tau": tau})
 
 
+def _real(name: str, value) -> None:
+    """Refuse a parameter that is not a real number, such as a string, by
+    name, before a comparison raises ``TypeError`` on it."""
+    if not isinstance(value, numbers.Real):
+        raise ParameterError(f"{name} must be a real number, got {value!r}")
+
+
 def _cap(name: str, cap: float) -> None:
     """Refuse an exhaustive-size cap that is not at least 1: a NaN one
     would pass every size test and switch the cap off."""
+    _real(name, cap)
     if not cap >= 1:
         raise ParameterError(f"{name} must be at least 1, got {cap!r}")
 
@@ -178,19 +189,45 @@ def _discount(tau: float, length: int) -> float:
     return scale
 
 
+def _blocks(g: Graph) -> list[tuple[list[int], dict[int, list[tuple[int, int, float]]]]]:
+    """Each block of the block-cut tree as its vertex ids, ascending, and
+    :func:`_sorted_adjacency` kept to its edge instances: those whose
+    later-discovered end lies in it below its head."""
+    tree = _block_cut_tree(g)
+    rank, home = [0] * (g.n + 1), [0] * (g.n + 1)
+    for position, v in enumerate(tree.order.tolist()):
+        rank[v + 1] = position
+    blocks = []
+    for b, block in enumerate(tree.blocks):
+        ids = (block + 1).tolist()
+        blocks.append((sorted(ids), {v: [] for v in ids}))
+        for v in ids[1:]:
+            home[v] = b
+    for v, entries in enumerate(_sorted_adjacency(g)):
+        for entry in entries:  # in sorted order, which each block keeps
+            u = entry[0]
+            blocks[home[u if rank[u] > rank[v] else v]][1][v].append(entry)
+    return blocks
+
+
 def connection_reliability(g: Graph, max_paths_per_pair: int = PATHS_PER_PAIR_CAP) -> TransitionalMeasure:
     """Probability that at least one path between each vertex pair survives
     independent edge failures, the edge weights being intactness
     probabilities in (0, 1].
 
-    Computed by inclusion-exclusion over the simple paths of each pair:
-    every subset of paths contributes the signed product of the weights of
-    the union of its edge sets.  Terms are grouped by identical union
-    before summation, which keeps the expansion tractable on sparse
-    graphs; the grouped coefficients are exact integers.  A pair whose
-    expansion passes ``TERMS_PER_PAIR_CAP`` distinct unions raises
-    :class:`CapExceededError` (K7 does; K6 peaks near 15,500), and the
-    first pair whose reliability underflows to 0 raises
+    Computed block by block over the block-cut tree.  A pair inside one
+    block takes inclusion-exclusion over its simple paths, which never
+    leave the block: every subset of paths contributes the signed product
+    of the weights of the union of its edge sets.  Terms are grouped by
+    identical union before summation, which keeps the expansion tractable
+    on sparse graphs; the grouped coefficients are exact integers.  A pair
+    across cut vertices is the product of the block values between them on
+    its tree path (``R_ik = R_ij R_jk`` when j separates i from k), in
+    ascending order, which no vertex label sets.  The caps apply to pairs
+    inside a block: more than ``max_paths_per_pair`` paths, or more than
+    ``TERMS_PER_PAIR_CAP`` distinct unions (K7 passes it; K6 peaks near
+    15,500), raise :class:`CapExceededError`.  The first pair (i < j), in
+    row-major order, whose reliability underflows to 0 raises
     :class:`NumericError`.
     """
     _cap("max_paths_per_pair", max_paths_per_pair)
@@ -218,40 +255,63 @@ def connection_reliability(g: Graph, max_paths_per_pair: int = PATHS_PER_PAIR_CA
             yield coeff * product
 
     n = g.n
-    s = np.ones((n, n))
-    adj = _sorted_adjacency(g)
+    blocks = _blocks(g)
+    inner: list[dict[int, float]] = [{} for _ in range(n + 1)]  # the pairs inside one block
+    for members, adj in blocks:
+        if len(members) == 2 and len(adj[members[0]]) == 1:  # one edge, one path
+            i, j = members
+            inner[i][j] = inner[j][i] = adj[i][0][2]
+            continue
+        for i in members[:-1]:
+            # One traversal from i records every pair (i, j > i) of the
+            # block.  A count to j < i equals the (j, i) count, already held
+            # to the cap, so a pass stops within (b - 1) * max_paths_per_pair paths.
+            masks: dict[int, list[int]] = {j: [] for j in members if j > i}
+            for j, _, _, path_mask in _simple_paths(g, i, adj):
+                if j > i:
+                    masks[j].append(path_mask)
+                    if len(masks[j]) > max_paths_per_pair:
+                        raise CapExceededError(f"more than {max_paths_per_pair} simple paths between {i} and {j}")
+            for j, paths in masks.items():
+                terms: dict[int, int] = {}
+                for path_mask in paths:
+                    updates: dict[int, int] = {path_mask: 1}
+                    for mask, coeff in terms.items():
+                        union = mask | path_mask
+                        updates[union] = updates.get(union, 0) - coeff
+                    for mask, coeff in updates.items():
+                        merged = terms.get(mask, 0) + coeff
+                        if merged:
+                            terms[mask] = merged
+                        else:
+                            terms.pop(mask, None)
+                    if len(terms) > TERMS_PER_PAIR_CAP:
+                        raise CapExceededError(
+                            f"more than {TERMS_PER_PAIR_CAP} inclusion-exclusion terms between {i} and {j}"
+                        )
+                inner[i][j] = inner[j][i] = math.fsum(weighted(terms))
+
+    rows = [[1.0] * n for _ in range(n)]
     for i in range(1, n):
-        # One traversal from i records every pair (i, j > i); the last source
-        # has none.  A count to j < i equals the (j, i) count, already held
-        # to the cap, so a pass stops within (n - 1) * max_paths_per_pair paths.
-        masks: list[list[int]] = [[] for _ in range(n + 1)]
-        for j, _, _, path_mask in _simple_paths(g, i, adj):
-            if j > i:
-                masks[j].append(path_mask)
-                if len(masks[j]) > max_paths_per_pair:
-                    raise CapExceededError(f"more than {max_paths_per_pair} simple paths between {i} and {j}")
+        # One walk of the tree from i: a vertex's factors are those of the
+        # vertex it is first reached from, plus their pair's block value.
+        # A block is first reached from the cut vertex that leads to it,
+        # all its vertices at once.
+        factors: list = [None] * (n + 1)
+        factors[i] = []
+        stack = [i]
+        while stack:
+            c = stack.pop()
+            for x, value in inner[c].items():
+                if factors[x] is None:
+                    factors[x] = [*factors[c], value]
+                    stack.append(x)
         for j in range(i + 1, n + 1):
-            terms: dict[int, int] = {}
-            for path_mask in masks[j]:
-                updates: dict[int, int] = {path_mask: 1}
-                for mask, coeff in terms.items():
-                    union = mask | path_mask
-                    updates[union] = updates.get(union, 0) - coeff
-                for mask, coeff in updates.items():
-                    merged = terms.get(mask, 0) + coeff
-                    if merged:
-                        terms[mask] = merged
-                    else:
-                        terms.pop(mask, None)
-                if len(terms) > TERMS_PER_PAIR_CAP:
-                    raise CapExceededError(
-                        f"more than {TERMS_PER_PAIR_CAP} inclusion-exclusion terms between {i} and {j}"
-                    )
-            value = math.fsum(weighted(terms))
+            value = math.prod(sorted(factors[j]))
             if not value > 0.0:
                 raise NumericError(f"reliability between {i} and {j} underflows to {value!r}")
-            s[i - 1, j - 1] = s[j - 1, i - 1] = value
-    return TransitionalMeasure("reliability", s)
+            rows[i - 1][j - 1] = rows[j - 1][i - 1] = value
+    return TransitionalMeasure("reliability", np.array(rows))
 
 
 def _forest_system(g: Graph, t: float) -> tuple[np.ndarray, np.ndarray]:
@@ -264,6 +324,7 @@ def _forest_system(g: Graph, t: float) -> tuple[np.ndarray, np.ndarray]:
     the largest Laplacian eigenvalue.  The system is finite past the norm
     test and exactly symmetric, so it goes to the positive-definite
     inverse without :func:`linalg.invert`'s entry checks."""
+    _real("t", t)
     if not t > 0.0:
         raise ParameterError(f"edge-scale parameter must be positive, got {t}")
     with np.errstate(over="ignore"):
@@ -317,6 +378,7 @@ def walk_matrix(g: Graph, t: float) -> TransitionalMeasure:
     the recursion or the condition check refuses, to tell a bad ``t`` from
     a near-singular system.
     """
+    _real("t", t)
     system = adjacency_matrix(g)
     inverse = None
     # rho >= max(A), so a larger t fails the bound and t * A cannot overflow;
@@ -352,6 +414,7 @@ def _gaps(x: np.ndarray, j: slice, out: np.ndarray) -> np.ndarray:
 
 def _tolerance(tol: float) -> float:
     """A checker's ``tol``, refused unless it lies in [0, inf)."""
+    _real("tol", tol)
     if not 0.0 <= tol < math.inf:
         raise ParameterError(f"tolerance must lie in [0, inf), got {tol!r}")
     return tol
@@ -570,6 +633,7 @@ def find_tau_threshold(
     :func:`path_accessibility` once more, so its measure is checked for
     symmetry and a unit diagonal as every measure is.
     """
+    _real("precision", precision)
     if not precision > 0.0:
         raise ParameterError(f"precision must be positive, got {precision}")
     _tolerance(tol)

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import CapExceededError, NumericError, ParameterError
 from .graph import Graph, _vertex, adjacency_matrix
-from .measures import _cap
+from .measures import _cap, _real
 from .types import Path, RootedForestSummary, _integer
 
 __all__ = [
@@ -88,9 +88,10 @@ def enumerate_paths(g: Graph, i: int, j: int, max_vertices: int = PATH_VERTEX_CA
 def truncated_walk_sum(g: Graph, t: float, k_terms: int) -> np.ndarray:
     """Partial walk-weight sum ``I + tA + ... + (tA)^K`` by repeated
     multiplication.  Converges to the full walk matrix for ``t rho < 1``
-    with entrywise tail below ``(t rho)^(K+1) / (1 - t rho)``.  A
-    non-finite ``t``, a ``k_terms`` that is not an integer >= 0 and a sum
+    with entrywise tail below ``(t rho)^(K+1) / (1 - t rho)``.  A ``t``
+    that is not a finite real number, a ``k_terms`` that is not an integer >= 0 and a sum
     that overflows a float are refused."""
+    _real("t", t)
     if not math.isfinite(t):
         raise ParameterError(f"walk parameter must be finite, got {t!r}")
     terms = _integer(k_terms)
@@ -125,10 +126,11 @@ def long_walk_limit(g: Graph, rtol: float = 1e-8, k_start: int = 2, k_max: int =
     into [0.5, 1), exactly, and scaled back: weights far from 1 neither
     overflow nor underflow the quotient.  Walk weights that underflow to 0,
     and a limit that overflows a float, raise :class:`NumericError`;
-    an ``rtol`` outside (0, inf), a ``k_start`` that is not an integer >= 1
+    an ``rtol`` that is not a real number in (0, inf), a ``k_start`` that is not an integer >= 1
     and a ``k_max`` that is not an integer above it are refused before the
     first inverse.
     """
+    _real("rtol", rtol)
     if not 0.0 < rtol < math.inf:
         raise ParameterError(f"rtol must lie in (0, inf), got {rtol!r}")
     start, stop = _integer(k_start), _integer(k_max)

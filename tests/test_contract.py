@@ -144,6 +144,33 @@ def test_every_call_on_probability_weights_returns_finite_values_or_raises_a_typ
     _sweep(g, workdir)
 
 
+@st.composite
+def glued_probability_graphs(draw):
+    """Two to four probability multigraphs of at most 3 vertices, each but
+    the first glued at one of its vertices to a vertex of those before it,
+    which becomes a cut vertex."""
+    pieces = wide_multigraphs(max_n=3, top=0.0)
+    g = draw(pieces)
+    n, edges = g.n, list(g.edges)
+    for _ in range(draw(st.integers(1, 3))):
+        piece = draw(pieces)
+        ids = {1: draw(st.integers(1, n)), **{v: n + v - 1 for v in range(2, piece.n + 1)}}
+        edges += [(ids[u], ids[v], w) for u, v, w in piece.edges]
+        n += piece.n - 1
+    return Graph(n, tuple(edges))
+
+
+# Chains of blocks at probability weights: reliability composes its block
+# values across the cut vertices, and the products of tiny factors reach
+# its underflow refusal.
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(g=glued_probability_graphs())
+@example(g=Graph(3, ((1, 2, 1e-200), (2, 3, 1e-200))))
+@example(g=Graph(5, ((1, 2, 1e-170), (2, 3, 1e-170), (1, 3, 0.5), (3, 4, 1e-170), (4, 5, 0.5), (4, 5, 0.5))))
+def test_every_call_on_glued_probability_graphs_returns_finite_values_or_raises_a_typed_error(g, workdir):
+    _sweep(g, workdir)
+
+
 def _sweep(g, workdir):
     """Every public call and CLI command on ``g``, with warnings as errors."""
     path, out = workdir / "graph.txt", workdir / "out.txt"
@@ -210,6 +237,25 @@ def _sweep(g, workdir):
             ):
                 with pytest.raises(ParameterError, match=f"^{name} must be at least 1, got "):
                     call()
+
+        # A parameter that is not a real number is refused by name, not by a
+        # TypeError from its first comparison.
+        for name, call in (
+            ("precision", lambda: find_tau_threshold(g, precision="1e-6")),
+            ("tol", lambda: find_tau_threshold(g, tol="1e-9")),
+            ("tau", lambda: path_accessibility(g, "0.5")),
+            ("tau", lambda: path_distance(g, "0.5")),
+            ("t", lambda: forest_distance(g, "1")),
+            ("t", lambda: forest_matrix(g, None)),
+            ("t", lambda: walk_distance(g, "0.1")),
+            ("t", lambda: walk_matrix(g, None)),
+            ("max_paths_per_pair", lambda: connection_reliability(g, "5")),
+            ("max_vertices", lambda: enumerate_paths(g, 1, g.n, "12")),
+            ("rtol", lambda: long_walk_limit(g, rtol="1e-8")),
+            ("t", lambda: truncated_walk_sum(g, "0.5", 3)),
+        ):
+            with pytest.raises(ParameterError, match=f"^{name} must be a real number, got "):
+                call()
 
         paths = _typed(enumerate_paths, g, 1, g.n)
         assert paths is None or np.isfinite([p.weight for p in paths]).all()

@@ -19,7 +19,7 @@ from cutmetrics import (
     separation_labels,
     shortest_path_lengths,
 )
-from cutmetrics.graph import _bfs, _block_cut_tree, cutpoint_table
+from cutmetrics.graph import _adjacency, _bfs, _block_cut_tree, cutpoint_table
 
 from conftest import as_networkx, assert_blocks_match_networkx, complete, k3, p2, p3, p4, sized_multigraph
 
@@ -152,6 +152,26 @@ class TestMatrices:
         graphs = corpus + [sized_multigraph(rng, n, chords) for n in (3, 5, 40, 200) for chords in (n, 8 * n)]
         for g in graphs:
             assert adjacency_matrix(g).tobytes() == scalar_adjacency(g).tobytes(), g
+
+    def test_kept_scatter_index_matches_a_fresh_build(self, corpus):
+        def fresh_adjacency(g, w):
+            u, v, _ = g._edge_columns
+            ends = np.column_stack((u, v)).ravel() - 1
+            cells = ends * g.n + np.column_stack((v, u)).ravel() - 1
+            keep = np.ones(len(cells), dtype=bool)
+            keep[1::2] = u != v
+            return np.bincount(cells[keep], np.repeat(w, 2)[keep], g.n * g.n).reshape(g.n, g.n)
+
+        rng = np.random.default_rng(43)
+        graphs = [Graph(g.n, g.edges) for g in corpus]
+        graphs += [sized_multigraph(rng, n, chords) for n in (3, 5, 40) for chords in (n, 8 * n)]
+        for g in graphs:
+            assert not hasattr(g, "_scatter")  # nothing is built at parse
+            w = g._edge_columns[2]
+            for weights in (w, 0.5 * w, w, 3.0 * w):  # the first call builds the index, the rest reuse it
+                assert _adjacency(g, weights).tobytes() == fresh_adjacency(g, weights).tobytes(), g
+            for column in g._scatter:
+                assert not column.flags.writeable
 
 
 class TestCutpointOracle:

@@ -23,6 +23,7 @@ from cutmetrics import (
     parse_graph,
     path_accessibility,
     reliability_by_edge_states,
+    shortest_path_lengths,
     spectral_data,
     validate_transitional_measure,
     walk_matrix,
@@ -210,8 +211,9 @@ class TestConnectionReliability:
             connection_reliability(Graph(2, ((1, 2, 1.2),)))
 
     def test_refuses_at_the_first_underflowed_pair(self, monkeypatch):
-        # The one path 1-3-2 has weight 1e-400: the refusal names the pair
-        # before any source but vertex 1 is traversed.
+        # The one path 1-3-2 has weight 1e-400: the refusal names the pair.
+        # Every block of the tree is a bridge, whose value is its weight, so
+        # no block is traversed.
         g = Graph(4, ((1, 3, 1e-200), (3, 2, 1e-200), (1, 4, 0.5)))
         sources = []
         traverse = measures._simple_paths
@@ -220,7 +222,7 @@ class TestConnectionReliability:
         )
         with pytest.raises(NumericError, match=r"reliability between 1 and 2 underflows to 0\.0"):
             connection_reliability(g)
-        assert sources == [1]
+        assert sources == []
 
     def test_paths_per_pair_cap(self):
         # K6 has 1 + 4 + 12 + 24 + 24 = 65 simple paths between any two vertices.
@@ -239,6 +241,14 @@ class TestConnectionReliability:
             connection_reliability(g)
         assert time.perf_counter() - start < 30.0
 
+    def test_a_cap_inside_a_block_is_reported_before_an_underflow(self):
+        # The pair (1, 3) underflows across the bridges 1-2 and 2-3, but
+        # every block is expanded before any pair is composed, and the K7
+        # block on 3..9 passes the term cap.
+        g = Graph(9, ((1, 2, 1e-200), (2, 3, 1e-200), *clique_edges(range(3, 10), 0.5)))
+        with pytest.raises(CapExceededError, match="more than 65536 inclusion-exclusion terms between 3 and 4"):
+            connection_reliability(g)
+
     def test_k6_below_terms_cap_matches_edge_state_oracle(self):
         # K6 peaks near 15,500 distinct unions per pair, under the cap.
         g = Graph(6, tuple(clique_edges(range(1, 7), 0.5)))
@@ -253,7 +263,14 @@ class TestConnectionReliability:
             connection_reliability(g)
 
     def test_matches_edge_state_oracle(self, small_corpus):
-        for g in small_corpus[:12]:
+        # Triangle 1-2-3, bridge 3-4, triangle 4-5-6, parallel edges 6-7,
+        # bridge 7-8 with a loop at 8: cut vertices 3, 4, 6 and 7.
+        blocks = Graph(8, (
+            (1, 2, 0.5), (2, 3, 0.6), (1, 3, 0.7), (3, 4, 0.8), (4, 5, 0.9), (5, 6, 0.4),
+            (4, 6, 0.5), (6, 7, 0.3), (6, 7, 0.6), (7, 8, 0.5), (8, 8, 0.2),
+        ))
+        chain = Graph(7, tuple((u, v, 0.3 + 0.05 * idx) for idx, (u, v, _) in enumerate(triangle_chain(3).edges)))
+        for g in [*small_corpus[:12], blocks, chain]:
             p = connection_reliability(g).matrix
             for i in range(1, g.n + 1):
                 for j in range(i + 1, g.n + 1):
@@ -261,22 +278,45 @@ class TestConnectionReliability:
                         reliability_by_edge_states(g, i, j), abs=1e-12
                     )
 
+    def test_chain_of_four_cycles_matches_its_closed_form(self):
+        # 13 four-cycles glued at opposite corners 1, 4, ..., 40: 2^13 paths
+        # join the ends, past the path cap, but each cycle is one block of
+        # two disjoint two-edge paths, reliable with 1 - (1 - 0.9^2)^2.
+        edges = []
+        for a in range(1, 38, 3):
+            edges += [(a, a + 1, 0.9), (a + 1, a + 3, 0.9), (a, a + 2, 0.9), (a + 2, a + 3, 0.9)]
+        p = connection_reliability(Graph(40, tuple(edges))).matrix
+        assert p[0, 39] == pytest.approx((1 - 0.19**2) ** 13, rel=1e-15, abs=0.0)
+        assert p[0, 3] * p[3, 6] == p[0, 6]
+
     def test_union_products_match_a_product_bit_by_bit(self, corpus):
         # Scaled by 1e-160, two-edge paths fall to subnormal products and
-        # longer ones underflow: the refusal names the pair the reference does.
+        # longer ones underflow: the refusal names the first pair the
+        # reference's composition leaves at 0.  A pair inside one block, and
+        # so every 2-connected graph, keeps the reference's bytes; a pair
+        # across cut vertices is the ascending product of its block values.
         graphs = [*corpus, *(Graph(g.n, tuple((u, v, w * 1e-160) for u, v, w in g.edges)) for g in corpus[:40])]
         graphs.append(Graph(3, ((1, 2, 5e-324), (2, 3, 0.5), (1, 3, 0.5))))
         refusals = 0
         for g in graphs:
-            try:
-                expected = _reliability_by_union_weight(g).tobytes()
-            except NumericError as exc:
+            reference = _reliability_by_union_weight(g)
+            expected = reference.copy()
+            hops = shortest_path_lengths(g)
+            for i in range(1, g.n + 1):
+                for k in range(i + 1, g.n + 1):
+                    path = _separators(g, hops, i, k)
+                    if len(path) > 2:
+                        factors = [reference[a - 1, b - 1] for a, b in zip(path, path[1:])]
+                        expected[i - 1, k - 1] = expected[k - 1, i - 1] = math.prod(sorted(factors))
+            low = [(i, k) for i in range(1, g.n + 1) for k in range(i + 1, g.n + 1) if not expected[i - 1, k - 1] > 0.0]
+            if low:
                 refusals += 1
+                i, k = low[0]
                 with pytest.raises(NumericError) as refused:
                     connection_reliability(g)
-                assert str(refused.value) == str(exc)
+                assert str(refused.value) == f"reliability between {i} and {k} underflows to {float(expected[i - 1, k - 1])!r}"
             else:
-                assert connection_reliability(g).matrix.tobytes() == expected, g
+                assert connection_reliability(g).matrix.tobytes() == expected.tobytes(), g
         assert 0 < refusals < len(graphs) - len(corpus)
 
 
@@ -309,9 +349,17 @@ def _union_weight(mask, edge_weights):
     return w
 
 
+def _separators(g, hops, i, k):
+    """``i``, the vertices that separate ``i`` from ``k`` in the order a
+    path meets them, by their ``hops`` from ``i``, and ``k``."""
+    inner = [j for j in range(1, g.n + 1) if j not in (i, k) and is_cutpoint_between(g, j, i, k)]
+    return [i, *sorted(inner, key=lambda j: hops.value(i, j)), k]
+
+
 def _reliability_by_union_weight(g):
-    """Reliability's grouped inclusion-exclusion, uncapped, with each term's
-    product formed bit by bit, kept to check the product memo against."""
+    """Reliability's grouped inclusion-exclusion over the whole graph, with
+    neither caps nor refusals, each term's product formed bit by bit, kept
+    to check the product memo and the block route against."""
     edge_weights = [w for _, _, w in g.edges]
     s = np.ones((g.n, g.n))
     adj = _sorted_adjacency(g)
@@ -330,8 +378,6 @@ def _reliability_by_union_weight(g):
                     if not terms[mask]:
                         del terms[mask]
             value = math.fsum(coeff * _union_weight(mask, edge_weights) for mask, coeff in terms.items())
-            if not value > 0.0:
-                raise NumericError(f"reliability between {i} and {j} underflows to {value!r}")
             s[i - 1, j - 1] = s[j - 1, i - 1] = value
     return s
 

@@ -23,6 +23,7 @@ from cutmetrics import (
     log_distance,
     long_walk_distance,
     path_accessibility,
+    reliability_by_edge_states,
     resistance_distance,
     separation_labels,
     shortest_path_lengths,
@@ -151,6 +152,22 @@ def test_gluing_at_a_vertex_makes_it_separate_and_all_families_additive(glued):
     for name, measure in families.items():
         report = check_cutpoint_additivity(g, log_distance(measure))
         assert report.passed, (name, report.violations[:3])
+
+
+@PROPERTY_SETTINGS
+@given(glued=glued_graphs())
+def test_reliability_on_glued_graphs_matches_edge_states_and_factors_at_a_cut_vertex(glued):
+    # A pair that one vertex j alone separates has a block on either side
+    # of j, and its value is the product of the two, bit for bit.
+    g = glued[0]
+    r = connection_reliability(g).matrix
+    for i in range(1, g.n + 1):
+        for k in range(i + 1, g.n + 1):
+            assert abs(r[i - 1, k - 1] - reliability_by_edge_states(g, i, k)) <= 1e-12
+            inner = [j for j in range(1, g.n + 1) if j not in (i, k) and is_cutpoint_between(g, j, i, k)]
+            if len(inner) == 1:
+                j = inner[0]
+                assert r[i - 1, k - 1] == r[i - 1, j - 1] * r[j - 1, k - 1]
 
 
 @PROPERTY_SETTINGS
